@@ -31,9 +31,7 @@ use bench::args::{Args, Mode, ProfileMode};
 use bench::harness::SnapshotTimer;
 use bench::sweep::{bundles_footer, gemm_sweep, gemm_table, GemmSweep, GemmSweepConfig};
 use bench::{analytic_report, gemm_launch, gemm_sim_config, lint_gate, perf_lint_gate};
-use hls_profiling::diagnose::{
-    confront, diagnose, perf_params_from_sim, render_confrontation, DiagnoseConfig,
-};
+use hls_profiling::diagnose::{confront, diagnose, render_confrontation, DiagnoseConfig};
 use hls_profiling::{PipelineConfig, ProfilingConfig};
 use kernels::gemm::{self, GemmParams, GemmVersion};
 use nymble_hls::{AccelCache, HlsConfig};
@@ -203,10 +201,8 @@ fn main() {
                 // static pass missed).
                 if perf_lint != nymble_lint::LintLevel::Off {
                     let idx = GemmVersion::ALL.iter().position(|x| x == v).unwrap();
-                    let report = nymble_lint::perf_lint_kernel_with(
-                        &kernels[idx],
-                        &perf_params_from_sim(&sim),
-                    );
+                    let report =
+                        nymble_lint::perf_lint_kernel_with(&kernels[idx], &sim.perf_params());
                     let outcomes = confront(&report, &run.trace, &run.result.stats, &d);
                     print!("{}", render_confrontation(&outcomes));
                 }

@@ -19,9 +19,7 @@ use bench::args::{Args, Mode, ProfileMode};
 use bench::harness::SnapshotTimer;
 use bench::sweep::{bundles_footer, pi_sweep, pi_table, PiSweep, PiSweepConfig};
 use bench::{analytic_report, lint_gate, perf_lint_gate, pi_launch, pi_sim_config};
-use hls_profiling::diagnose::{
-    confront, diagnose, perf_params_from_sim, render_confrontation, DiagnoseConfig,
-};
+use hls_profiling::diagnose::{confront, diagnose, render_confrontation, DiagnoseConfig};
 use hls_profiling::{PipelineConfig, ProfilingConfig};
 use kernels::pi::{self, PiParams};
 use nymble_hls::{AccelCache, HlsConfig};
@@ -199,8 +197,7 @@ fn main() {
                 &sim,
                 &DiagnoseConfig::default(),
             );
-            let report =
-                nymble_lint::perf_lint_kernel_with(&gate_kernel, &perf_params_from_sim(&sim));
+            let report = nymble_lint::perf_lint_kernel_with(&gate_kernel, &sim.perf_params());
             let outcomes = confront(&report, &run.trace, &run.result.stats, &d);
             println!("predicted vs observed:");
             print!("{}", render_confrontation(&outcomes));

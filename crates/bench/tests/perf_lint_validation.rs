@@ -2,11 +2,12 @@
 //!
 //! Two promises hold the perf-lint family together:
 //!
-//! 1. **Static agreement** — the symbolic cost model behind every NP
-//!    prediction (`nymble_lint::perf`) is an independent mirror of the
-//!    simulator's roofline mode (`fpga_sim::analytic`). On each triggering
-//!    fixture, its quantitative prediction must land within 25% of the
-//!    analytic estimate of the same quantity.
+//! 1. **Static agreement** — every NP prediction is priced by the cost
+//!    walker (`nymble_lint::perf`) with the structural source, which has
+//!    no compiled design; the simulator's roofline mode
+//!    (`fpga_sim::analytic`) prices with the compiled schedules. On each
+//!    triggering fixture, the quantitative prediction must land within 25%
+//!    of the analytic estimate of the same quantity.
 //! 2. **Dynamic confirmation** — the cycle-level simulator must actually
 //!    exhibit each predicted symptom: `hls_profiling::confront` returns
 //!    `Confirmed` for every NP finding on the fixture's simulated trace.
@@ -19,7 +20,7 @@ use bench::sweep::{gemm_sweep, gemm_table, GemmSweepConfig};
 use bench::{analytic_report, gemm_sim_config, run_profiled_in};
 use fpga_sim::memimg::LaunchArg;
 use fpga_sim::SimConfig;
-use hls_profiling::diagnose::{confront, diagnose, perf_params_from_sim, DiagnoseConfig};
+use hls_profiling::diagnose::{confront, diagnose, DiagnoseConfig};
 use hls_profiling::{PipelineConfig, ProfilingConfig};
 use kernels::fixtures::{self, Fixture};
 use kernels::gemm::{GemmParams, GemmVersion};
@@ -130,7 +131,7 @@ fn np_predictions_are_confirmed_by_the_cycle_simulator() {
         let launch = fixture_launch(&f.kernel);
         let run = run_profiled_in(&cache, &f.kernel, &sim, &prof, &launch)
             .unwrap_or_else(|e| panic!("`{}`: simulation failed: {e}", f.name));
-        let report = nymble_lint::perf_lint_kernel_with(&f.kernel, &perf_params_from_sim(&sim));
+        let report = nymble_lint::perf_lint_kernel_with(&f.kernel, &sim.perf_params());
         let d = diagnose(
             &run.trace,
             &run.result.stats,

@@ -1,6 +1,7 @@
 //! Simulator configuration.
 
 use crate::error::SimError;
+use nymble_lint::PerfParams;
 
 /// Timing parameters of the simulated platform (defaults approximate the
 /// paper's Intel D5005 PAC: Stratix 10, four DDR4 banks behind a 512-bit
@@ -39,8 +40,8 @@ pub struct SimConfig {
     pub stmt_base_cost: u64,
     /// Preloader DMA descriptor issue cost, in cycles.
     pub burst_issue_cost: u64,
-    /// Scheduler-assumed minimum external-load latency (must match the
-    /// `ExtLoad` operator latency used at schedule time).
+    /// Scheduler-assumed minimum external-load latency (defaults to the
+    /// `ExtLoad` operator latency the schedules are built with).
     pub assumed_load_latency: u64,
     /// Per-burst setup cost of the preloader DMA engine (descriptor fetch
     /// plus DRAM row activation for the strided row), in cycles.
@@ -58,27 +59,30 @@ pub struct SimConfig {
     pub port_mshrs: u32,
 }
 
+/// The fields the static cost model shares take their defaults from
+/// [`PerfParams::default`]; the rest are the simulator's own.
 impl Default for SimConfig {
     fn default() -> Self {
+        let p = PerfParams::default();
         SimConfig {
             clock_mhz: 148.0,
-            dram_latency: 48,
-            dram_bytes_per_cycle: 64,
-            dram_line_bytes: 64,
+            dram_latency: p.dram_latency,
+            dram_bytes_per_cycle: p.dram_bytes_per_cycle as u32,
+            dram_line_bytes: p.dram_line_bytes as u32,
             dram_banks: 16,
             dram_bank_busy: 16,
-            launch_interval: 880_000,
-            sem_acquire_latency: 12,
-            sem_release_latency: 4,
+            launch_interval: p.launch_interval,
+            sem_acquire_latency: p.sem_acquire_latency,
+            sem_release_latency: p.sem_release_latency,
             spin_retry_interval: 16,
-            barrier_latency: 8,
-            seq_issue_width: 4,
-            stmt_base_cost: 1,
-            burst_issue_cost: 4,
-            dma_setup: 12,
-            assumed_load_latency: 8,
+            barrier_latency: p.barrier_latency,
+            seq_issue_width: p.seq_issue_width as u32,
+            stmt_base_cost: p.stmt_base_cost,
+            burst_issue_cost: p.burst_issue_cost,
+            dma_setup: p.dma_setup,
+            assumed_load_latency: p.assumed_load_latency,
             dram_bank_hash: true,
-            line_buffers: true,
+            line_buffers: p.line_buffers,
             port_mshrs: 2,
         }
     }
@@ -93,6 +97,27 @@ impl SimConfig {
     /// Convert a cycle count to seconds at the configured clock.
     pub fn cycles_to_seconds(&self, cycles: u64) -> f64 {
         cycles as f64 / self.clock_hz()
+    }
+
+    /// The static cost model's parameters for this configuration, so
+    /// predictions and measurements share one machine description (under
+    /// overrides like [`Self::with_fast_launch`] too).
+    pub fn perf_params(&self) -> PerfParams {
+        PerfParams {
+            dram_latency: self.dram_latency,
+            dram_bytes_per_cycle: u64::from(self.dram_bytes_per_cycle),
+            dram_line_bytes: u64::from(self.dram_line_bytes),
+            launch_interval: self.launch_interval,
+            sem_acquire_latency: self.sem_acquire_latency,
+            sem_release_latency: self.sem_release_latency,
+            barrier_latency: self.barrier_latency,
+            seq_issue_width: u64::from(self.seq_issue_width),
+            stmt_base_cost: self.stmt_base_cost,
+            burst_issue_cost: self.burst_issue_cost,
+            assumed_load_latency: self.assumed_load_latency,
+            dma_setup: self.dma_setup,
+            line_buffers: self.line_buffers,
+        }
     }
 
     /// A configuration with negligible host launch overhead, for experiments
@@ -218,6 +243,13 @@ mod tests {
             ..Default::default()
         };
         assert!(nan_clock.validate().is_err());
+    }
+
+    #[test]
+    fn sim_params_translate_to_the_static_model() {
+        assert_eq!(SimConfig::default().perf_params(), PerfParams::default());
+        let fast = SimConfig::default().with_fast_launch();
+        assert_eq!(fast.perf_params().launch_interval, fast.launch_interval);
     }
 
     #[test]

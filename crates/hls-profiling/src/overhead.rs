@@ -11,18 +11,14 @@
 
 use crate::unit::ProfilingConfig;
 use nymble_hls::cost::{fmax_model, CostParams, FitReport};
+use nymble_hls::ProbeCostParams;
 
 /// Per-module area parameters of the profiling hardware.
 #[derive(Clone, Debug)]
 pub struct OverheadParams {
-    /// Adder/valid-gating logic of one counter module.
-    pub counter_alms_base: u32,
-    /// Additional ALMs per thread source (the two inputs per source).
-    pub counter_alms_per_thread: u32,
-    /// Aggregate registers per thread per counter (32-bit + valid).
-    pub counter_regs_per_thread: u32,
-    /// Fixed registers of one counter module (sample timer share etc.).
-    pub counter_regs_base: u32,
+    /// One counter module's ALMs and registers: the same prices the
+    /// counter-selection optimizer budgets with.
+    pub counter: ProbeCostParams,
     /// State machine + packer ALMs, plus per-thread state register cost.
     pub state_alms_base: u32,
     pub state_alms_per_thread: u32,
@@ -38,10 +34,7 @@ pub struct OverheadParams {
 impl Default for OverheadParams {
     fn default() -> Self {
         OverheadParams {
-            counter_alms_base: 30,
-            counter_alms_per_thread: 4,
-            counter_regs_per_thread: 12,
-            counter_regs_base: 20,
+            counter: ProbeCostParams::default(),
             state_alms_base: 40,
             state_alms_per_thread: 6,
             state_regs_per_thread: 12,
@@ -56,8 +49,7 @@ impl Default for OverheadParams {
 /// Fit of the profiling unit alone. Under an auto-probe plan the counter
 /// population is the plan's: one module per selected event class plus one
 /// cycle counter per instrumented region (the same uniform pricing
-/// `nymble_hls::probe::select` budgeted with, pinned by a contract test
-/// below).
+/// `nymble_hls::probe::select` budgeted with).
 pub fn profiling_fit(num_threads: u32, cfg: &ProfilingConfig, p: &OverheadParams) -> FitReport {
     let n = num_threads as u64;
     let mut alms = 0u64;
@@ -66,8 +58,8 @@ pub fn profiling_fit(num_threads: u32, cfg: &ProfilingConfig, p: &OverheadParams
         Some(plan) => (plan.counters.len() + plan.regions.len()) as u64,
         None => cfg.counters.count() as u64,
     };
-    alms += counters * (p.counter_alms_base as u64 + p.counter_alms_per_thread as u64 * n);
-    regs += counters * (p.counter_regs_base as u64 + p.counter_regs_per_thread as u64 * n);
+    alms += counters * p.counter.alms_per_counter(num_threads);
+    regs += counters * p.counter.regs_per_counter(num_threads);
     if cfg.record_states {
         alms += p.state_alms_base as u64 + p.state_alms_per_thread as u64 * n;
         regs += p.state_regs_per_thread as u64 * n + 32; // states + clock reg
@@ -200,31 +192,6 @@ mod tests {
         assert!(
             so.fmax_delta_mhz >= 0.0 && so.fmax_delta_mhz < 10.0,
             "{so:?}"
-        );
-    }
-
-    /// The selection optimizer in `nymble-hls` cannot see this crate (it
-    /// sits below it in the dependency graph), so it budgets with its own
-    /// mirror of the per-counter constants. This contract test pins the
-    /// mirror to the real cost model — if either side changes, it fails.
-    #[test]
-    fn probe_cost_params_mirror_overhead_params() {
-        let o = OverheadParams::default();
-        let m = nymble_hls::ProbeCostParams::default();
-        assert_eq!(
-            (
-                m.counter_alms_base,
-                m.counter_alms_per_thread,
-                m.counter_regs_base,
-                m.counter_regs_per_thread
-            ),
-            (
-                o.counter_alms_base,
-                o.counter_alms_per_thread,
-                o.counter_regs_base,
-                o.counter_regs_per_thread
-            ),
-            "nymble_hls::ProbeCostParams must mirror OverheadParams"
         );
     }
 

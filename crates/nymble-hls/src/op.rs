@@ -46,25 +46,27 @@ pub enum OpClass {
 }
 
 impl OpClass {
-    /// Scheduler latency in cycles (minimum for VLOs).
+    /// Scheduler latency in cycles (minimum for VLOs), from the table
+    /// perf-lint prices recurrences with ([`nymble_lint::deps::latency`]).
     pub const fn latency(self) -> u32 {
-        match self {
-            OpClass::IntAlu => 1,
-            OpClass::IntMul => 3,
-            OpClass::IntDiv => 16,
-            OpClass::FAdd => 4,
-            OpClass::FMul => 4,
-            OpClass::FDiv => 14,
-            OpClass::FSqrt => 14,
-            OpClass::Cast => 1,
-            OpClass::ExtLoad => 8,
-            OpClass::ExtStore => 1,
-            OpClass::LocalLoad => 2,
-            OpClass::LocalStore => 1,
+        use nymble_lint::deps::latency as l;
+        (match self {
+            OpClass::IntAlu => l::INT_ALU,
+            OpClass::IntMul => l::INT_MUL,
+            OpClass::IntDiv => l::INT_DIV,
+            OpClass::FAdd => l::F_ADD,
+            OpClass::FMul => l::F_MUL,
+            OpClass::FDiv => l::F_DIV,
+            OpClass::FSqrt => l::F_SQRT,
+            OpClass::Cast => l::CAST,
+            OpClass::ExtLoad => l::EXT_LOAD,
+            OpClass::ExtStore => l::EXT_STORE,
+            OpClass::LocalLoad => l::LOCAL_LOAD,
+            OpClass::LocalStore => l::LOCAL_STORE,
             OpClass::InnerLoop => 8,
             OpClass::CriticalRegion => 12,
             OpClass::Burst => 4,
-        }
+        }) as u32
     }
 
     /// Whether the runtime delay can exceed [`Self::latency`] (variable
@@ -194,26 +196,10 @@ mod tests {
         assert_eq!(OpClass::ExtStore.resource(), Resource::MemWrite);
     }
 
-    /// `nymble-lint` cannot depend on this crate (the dependency points the
-    /// other way), so its perf diagnostics mirror these latencies as
-    /// constants. This test is the agreement contract: any latency or
-    /// classification change here must be reflected in
-    /// `nymble_lint::deps::latency`.
+    /// The latencies are one table, but `nymble-lint` (below this crate)
+    /// classifies operators itself: both sides must classify alike.
     #[test]
     fn lint_latency_mirror_agrees() {
-        use nymble_lint::deps::latency as l;
-        assert_eq!(l::INT_ALU, u64::from(OpClass::IntAlu.latency()));
-        assert_eq!(l::INT_MUL, u64::from(OpClass::IntMul.latency()));
-        assert_eq!(l::INT_DIV, u64::from(OpClass::IntDiv.latency()));
-        assert_eq!(l::F_ADD, u64::from(OpClass::FAdd.latency()));
-        assert_eq!(l::F_MUL, u64::from(OpClass::FMul.latency()));
-        assert_eq!(l::F_DIV, u64::from(OpClass::FDiv.latency()));
-        assert_eq!(l::F_SQRT, u64::from(OpClass::FSqrt.latency()));
-        assert_eq!(l::CAST, u64::from(OpClass::Cast.latency()));
-        assert_eq!(l::EXT_LOAD, u64::from(OpClass::ExtLoad.latency()));
-        assert_eq!(l::EXT_STORE, u64::from(OpClass::ExtStore.latency()));
-        assert_eq!(l::LOCAL_LOAD, u64::from(OpClass::LocalLoad.latency()));
-        assert_eq!(l::LOCAL_STORE, u64::from(OpClass::LocalStore.latency()));
         // Classification agreement, over every BinOp/UnOp × float/int.
         use nymble_ir::{BinOp, UnOp};
         for op in [

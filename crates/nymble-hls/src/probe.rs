@@ -47,11 +47,10 @@ impl ProbeMode {
     }
 }
 
-/// Per-counter hardware prices the optimizer works with. These mirror the
-/// counter constants of `hls_profiling::overhead::OverheadParams` — the
-/// profiling crate sits *above* this one in the dependency graph, so it
-/// pins the two sets equal with a contract test (the same pattern as the
-/// `nymble-lint` latency mirror).
+/// Per-counter hardware prices the optimizer works with. The profiling
+/// crate's area model (`hls_profiling::overhead::OverheadParams`) holds
+/// this same struct, so a plan's budget and the instrumented fit price a
+/// counter alike.
 #[derive(Clone, Debug)]
 pub struct ProbeCostParams {
     /// Adder/valid-gating logic of one counter module.

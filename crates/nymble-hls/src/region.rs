@@ -3,11 +3,11 @@
 //! Walks the kernel IR in pre-order and extracts a hierarchical **region
 //! tree**: kernel → loop nest → pipelined body / sequential section /
 //! critical section / DMA transfer region. Each region is annotated with a
-//! statically derived *profit* — its expected stall exposure, priced by the
-//! [`nymble_lint::perf`] analytic mirror via
-//! [`nymble_lint::region_profits`] — which the counter-selection optimizer
-//! in [`crate::probe`] trades against the hardware cost of a per-region
-//! cycle counter.
+//! statically derived *profit* — its expected stall exposure, priced by
+//! the static cost walker in one walk with the whole-kernel model
+//! ([`nymble_lint::perf::model_with_profits`]) — which the
+//! counter-selection optimizer in [`crate::probe`] trades against the
+//! hardware cost of a per-region cycle counter.
 //!
 //! The tree is decodable: region ids are assigned in pre-order, every
 //! region records its parent, and the labels form slash-separated paths
@@ -17,7 +17,8 @@
 
 use nymble_ir::stmt::{Block, Stmt, Unroll};
 use nymble_ir::Kernel;
-use nymble_lint::{pipeline_eligible, region_profits, PerfParams, RegionProfit};
+use nymble_lint::perf::model_with_profits;
+use nymble_lint::{pipeline_eligible, PerfParams, RegionProfit};
 
 /// What kind of IR construct a region corresponds to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -90,27 +91,30 @@ fn fallback_score(depth: u32) -> u64 {
 impl RegionTree {
     /// Extract the region tree of `kernel`, pricing profits under `p`
     /// (callers without a specific simulator configuration use
-    /// [`PerfParams::default`], which mirrors `SimConfig::default`).
+    /// [`PerfParams::default`], the platform defaults `SimConfig` shares).
     pub fn build(kernel: &Kernel, p: &PerfParams) -> RegionTree {
-        let profits = region_profits(kernel, p);
-        let analytic = profits.is_some();
+        let priced = model_with_profits(kernel, p);
+        let analytic = priced.is_some();
+        let (root_profit, profits) = match priced {
+            Some((m, profits)) => (
+                RegionProfit {
+                    cycles: m.per_thread.iter().sum(),
+                    dram_bytes: m.dram_bytes,
+                    critical_cycles: m.critical_cycles,
+                    dma_cycles: 0,
+                },
+                profits,
+            ),
+            None => Default::default(),
+        };
         let lookup = |s: &Stmt| -> RegionProfit {
             profits
-                .as_ref()
-                .and_then(|m| m.get(&(s as *const Stmt as usize)).copied())
+                .get(&(s as *const Stmt as usize))
+                .copied()
                 .unwrap_or_default()
         };
 
         let mut regions = Vec::new();
-        let root_profit = match nymble_lint::perf::model(kernel, p) {
-            Some(m) => RegionProfit {
-                cycles: m.per_thread.iter().sum(),
-                dram_bytes: m.dram_bytes,
-                critical_cycles: m.critical_cycles,
-                dma_cycles: 0,
-            },
-            None => RegionProfit::default(),
-        };
         regions.push(Region {
             id: 0,
             parent: None,

@@ -7,16 +7,16 @@
 //! to a variable in a loop body transitively reads the variable's carried
 //! value, and its latency is the operator-chain depth along that path.
 //!
-//! `nymble-lint` deliberately does not depend on `nymble-hls` (the HLS
-//! crate gates compiles *through* the linter), so the operator latencies
-//! are mirrored here as named constants; a test on the `nymble-hls` side
-//! asserts the mirror agrees with `OpClass::latency`.
+//! The operator latency table lives here, below `nymble-hls` (the HLS
+//! crate gates compiles *through* the linter): `OpClass::latency` returns
+//! these constants. The linter classifies operators itself, and a test on
+//! the `nymble-hls` side checks both sides classify every operator alike.
 
 use nymble_ir::{BinOp, Expr, ExprId, Kernel, Stmt, UnOp, VarId};
 use std::collections::HashMap;
 
-/// Operator latencies, mirroring `nymble_hls::op::OpClass::latency()`.
-/// Kept in sync by `latency_table_mirrors_lint` in `nymble-hls`.
+/// Operator latencies in cycles: the table `nymble_hls::op::OpClass::latency`
+/// schedules with.
 pub mod latency {
     pub const INT_ALU: u64 = 1;
     pub const INT_MUL: u64 = 3;
@@ -58,8 +58,8 @@ pub(crate) fn expr_float(k: &Kernel, e: ExprId) -> bool {
     }
 }
 
-/// Latency of a binary operator on the given operand float-ness
-/// (mirrors `nymble_hls::op::classify_binop`).
+/// Latency of a binary operator on the given operand float-ness (the
+/// classification of `nymble_hls::op::classify_binop`).
 pub fn binop_latency(op: BinOp, float: bool) -> u64 {
     use latency::*;
     if op.is_comparison() {
@@ -75,7 +75,8 @@ pub fn binop_latency(op: BinOp, float: bool) -> u64 {
     }
 }
 
-/// Latency of a unary operator (mirrors `nymble_hls::op::classify_unop`).
+/// Latency of a unary operator (the classification of
+/// `nymble_hls::op::classify_unop`).
 pub fn unop_latency(op: UnOp, float: bool) -> u64 {
     use latency::*;
     match (float, op) {

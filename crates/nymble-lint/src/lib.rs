@@ -16,8 +16,8 @@
 //!
 //! A second family of *performance* diagnostics ([`perf`], `NP0xx` codes)
 //! statically predicts the bottlenecks the profiling unit would measure,
-//! each carrying a quantitative prediction priced by a static mirror of
-//! `fpga_sim::analytic`:
+//! each carrying a quantitative prediction priced by the static cost
+//! walker that `fpga_sim::analytic` also prices through:
 //!
 //! | code  | severity | pathology |
 //! |-------|----------|-----------|
@@ -48,7 +48,7 @@ pub mod diag;
 pub mod perf;
 
 pub use diag::{Code, Diagnostic, PredMetric, Prediction, Severity, Span};
-pub use perf::{pipeline_eligible, region_profits, PerfModel, PerfParams, RegionProfit};
+pub use perf::{pipeline_eligible, PerfModel, PerfParams, RegionProfit};
 
 use nymble_ir::Kernel;
 use std::collections::BTreeMap;
@@ -197,8 +197,8 @@ pub fn enforce(kernel: &Kernel, level: LintLevel) -> Result<LintReport, String> 
     Ok(report)
 }
 
-/// Run the performance diagnostics (`NP0xx`) with default pricing
-/// parameters (mirroring `fpga_sim::SimConfig::default()`).
+/// Run the performance diagnostics (`NP0xx`) with the default platform
+/// parameters (the ones `fpga_sim::SimConfig::default()` shares).
 pub fn perf_lint_kernel(kernel: &Kernel) -> LintReport {
     perf_lint_kernel_with(kernel, &PerfParams::default())
 }

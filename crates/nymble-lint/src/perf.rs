@@ -1,27 +1,39 @@
-//! Performance diagnostics (`NP0xx`): a static mirror of the analytical
-//! performance model in `fpga_sim::analytic`, plus the passes that turn
-//! its intermediate quantities into actionable findings.
+//! The static cost walker, and the performance diagnostics (`NP0xx`)
+//! priced against it.
 //!
-//! The walker prices the kernel exactly the way the analytical simulator
-//! does — per-thread busy cycles, DRAM line traffic, critical-section
-//! serialization, launch ramp — but needs no compiled accelerator: the
-//! pipelined initiation interval comes from the symbolic recurrence
-//! analysis in [`crate::deps`], and loop pipelining eligibility is decided
-//! structurally (no nested sequential region in the body). The resulting
-//! [`PerfModel`] is what every diagnostic's quantitative prediction is
-//! priced against, and what `bench` cross-validates against
-//! `fpga_sim::analytic` within 25% on the triggering fixtures.
+//! The cost walker is the one cost model of the toolchain, in the spirit of
+//! the memory-bound analytic model of Dávila-Guzmán et al. (PAPERS.md): it
+//! prices each hardware thread's busy cycles (pipelined loops as
+//! `depth + (trip−1)·II`, widened by a bandwidth roofline and read-miss
+//! stalls; sequential code per statement), its DRAM line traffic, its
+//! critical-section serialization and DMA engine occupancy, and then the
+//! span of the host's launch ramp. What the IR alone cannot say comes from
+//! a [`CostSource`]:
+//!
+//! * the structural source here, for code that runs before any compile
+//!   exists (perf-lint gates the compile; the region tree is priced during
+//!   it): a loop pipelines when [`pipeline_eligible`], its II comes from
+//!   the symbolic recurrence analysis in [`crate::deps`] and its depth from
+//!   the operator chain;
+//! * `fpga_sim::analytic`, for a compiled design and a launch: the
+//!   scheduled `(II, depth)`, the calibrated restart-contention term,
+//!   scalar launch arguments and the launch-time memory image.
+//!
+//! The resulting [`PerfModel`] is what every diagnostic's quantitative
+//! prediction is priced against, and what `bench` cross-validates against
+//! the compiled-schedule estimate within 25% on the triggering fixtures.
 
 use crate::deps;
 use crate::diag::{Code, Diagnostic, PredMetric};
 use nymble_ir::stmt::Unroll;
-use nymble_ir::{Expr, ExprId, Kernel, Stmt, Value, VarId};
+use nymble_ir::{ArgId, ArgKind, Expr, ExprId, Kernel, MapDir, Stmt, Value, VarId};
 use std::collections::HashMap;
 
-/// The latency/bandwidth parameters the model prices against. Defaults
-/// mirror `fpga_sim::SimConfig::default()`; `hls-profiling` rebuilds one
-/// from the actual run's `SimConfig` when confronting predictions with a
-/// measured trace.
+/// The latency/bandwidth parameters the model prices against. These
+/// defaults are the platform's: `fpga_sim::SimConfig::default()` takes its
+/// shared fields from here, and `SimConfig::perf_params` converts a run's
+/// configuration back, so predictions and measurements share one machine
+/// description.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PerfParams {
     pub dram_latency: u64,
@@ -52,65 +64,53 @@ impl Default for PerfParams {
             seq_issue_width: 4,
             stmt_base_cost: 1,
             burst_issue_cost: 4,
-            assumed_load_latency: 8,
+            assumed_load_latency: deps::latency::EXT_LOAD,
             dma_setup: 12,
             line_buffers: true,
         }
     }
 }
 
-impl PerfParams {
-    /// The benchmark harness's fast-launch setting
-    /// (`SimConfig::with_fast_launch`).
-    pub fn with_launch_interval(mut self, v: u64) -> Self {
-        self.launch_interval = v;
-        self
-    }
-}
-
 /// The static performance model's summary for one kernel.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PerfModel {
-    /// Predicted busy cycles per thread (compute vs DMA max, like
-    /// `AnalyticReport::per_thread`).
+    /// Predicted busy cycles per thread (compute chain vs DMA engine,
+    /// whichever finishes later).
     pub per_thread: Vec<u64>,
     /// Predicted DRAM line traffic in bytes, all threads.
     pub dram_bytes: u64,
     /// Predicted serialized critical-section cycles, summed over threads.
     pub critical_cycles: u64,
-    /// Predicted total cycles (launch ramp vs serialization vs bandwidth
-    /// floor, like `AnalyticReport::total_cycles`).
+    /// When the last thread finishes, counting the host's launch ramp.
+    pub ramp_span: u64,
+    /// Predicted total cycles: the launch-ramp span vs the serialization
+    /// floor vs the bandwidth floor, whichever is latest.
     pub total_cycles: u64,
 }
 
-/// Price the kernel under `p`. `None` when loop bounds are not statically
-/// resolvable (scalar launch arguments, data-dependent trips).
+/// Price the kernel under `p` with the structural source (no compiled
+/// design). `None` when loop bounds are not statically resolvable (scalar
+/// launch arguments, data-dependent trips).
 pub fn model(k: &Kernel, p: &PerfParams) -> Option<PerfModel> {
-    let nt = k.num_threads.max(1) as usize;
-    let mut per_thread = Vec::with_capacity(nt);
-    let mut dram_bytes = 0u64;
-    let mut critical_cycles = 0u64;
-    for t in 0..nt {
-        let mut w = CostWalker::new(k, p, t as i64);
-        let c = w.block_cost(&k.body)?;
-        per_thread.push(c.cycles.max(c.dma_busy));
-        dram_bytes += c.dram_bytes;
-        critical_cycles += c.critical;
-    }
-    let ramp_span = per_thread
-        .iter()
-        .enumerate()
-        .map(|(t, &c)| t as u64 * p.launch_interval + c)
-        .max()
-        .unwrap_or(0);
-    let memory_floor = dram_bytes / p.dram_bytes_per_cycle.max(1);
-    let total_cycles = ramp_span.max(critical_cycles).max(memory_floor);
-    Some(PerfModel {
-        per_thread,
-        dram_bytes,
-        critical_cycles,
-        total_cycles,
-    })
+    model_with(k, p, Structural::new(p))
+}
+
+/// Price the kernel under `p`, asking `src` what the IR alone cannot say.
+pub fn model_with<S: CostSource>(k: &Kernel, p: &PerfParams, src: S) -> Option<PerfModel> {
+    CostWalker::new(k, p, src).model()
+}
+
+/// [`model`] plus the per-region profits, from the same walk: the subtree
+/// cost of each loop, critical section and DMA burst, recorded against the
+/// statement's address. `None` under the same condition as [`model`].
+pub fn model_with_profits(
+    k: &Kernel,
+    p: &PerfParams,
+) -> Option<(PerfModel, HashMap<usize, RegionProfit>)> {
+    let mut w = CostWalker::new(k, p, Structural::new(p));
+    w.recorded = Some(HashMap::new());
+    let m = w.model()?;
+    Some((m, w.recorded.take().unwrap_or_default()))
 }
 
 /// Statically derived instrumentation profit of one region-forming
@@ -144,38 +144,93 @@ impl RegionProfit {
     }
 }
 
-/// Per-region profits under `p`: walk every thread exactly like [`model`]
-/// and record the subtree cost of each loop, critical section and DMA
-/// burst against the statement's address. `None` when the kernel's loop
-/// bounds are not statically resolvable (same condition as [`model`]).
-pub fn region_profits(k: &Kernel, p: &PerfParams) -> Option<HashMap<usize, RegionProfit>> {
-    let nt = k.num_threads.max(1) as usize;
-    let mut sums: HashMap<usize, RegionProfit> = HashMap::new();
-    for t in 0..nt {
-        let mut w = CostWalker::new(k, p, t as i64);
-        w.recorded = Some(HashMap::new());
-        w.block_cost(&k.body)?;
-        for (key, c) in w.recorded.take().unwrap() {
-            let e = sums.entry(key).or_default();
-            e.cycles += c.cycles;
-            e.dram_bytes += c.dram_bytes;
-            e.critical_cycles += c.critical;
-            e.dma_cycles += c.dma_busy;
-        }
+// ---------------------------------------------------------------------------
+// The cost walker.
+// ---------------------------------------------------------------------------
+
+/// What the walker asks about a kernel beyond its IR. Every answer has a
+/// default that means "unknown here", which is what perf-lint gets.
+pub trait CostSource {
+    /// Pipelined `(ii, depth)` of the non-unrolled loop `loop_stmt` (whose
+    /// body is `body`), or `None` when the loop runs sequentially.
+    fn pipelined(&mut self, k: &Kernel, loop_stmt: &Stmt, body: &[Stmt]) -> Option<(u64, u64)>;
+
+    /// Restart-contention cycles of a pipelined loop entered once with
+    /// `trip` iterations on `nt` threads, whose thread-independent streams
+    /// fetch `indep_miss_freq` lines per iteration. Counted as system time
+    /// by the span model.
+    fn restart_contention(&self, _nt: u64, _trip: u64, _indep_miss_freq: f64) -> u64 {
+        0
     }
-    Some(sums)
+
+    /// The launch value of scalar argument `arg`.
+    fn scalar(&self, _arg: ArgId) -> Option<i64> {
+        None
+    }
+
+    /// Element `index` of the `map(to)` buffer `buf` at launch. Such
+    /// buffers never change during a run, so this is the load's value on
+    /// every iteration.
+    fn load(&self, _buf: ArgId, _index: usize) -> Option<i64> {
+        None
+    }
+
+    /// Whether [`Self::load`] reads a memory image. Loops whose inner
+    /// bounds come from memory are then walked iteration by iteration.
+    fn has_image(&self) -> bool {
+        false
+    }
 }
 
-// ---------------------------------------------------------------------------
-// The cost walker (static mirror of `fpga_sim::analytic`).
-// ---------------------------------------------------------------------------
+/// The source for code that runs before any compile exists: pipelining
+/// is decided structurally ([`pipeline_eligible`]), II by the recurrence
+/// analysis and depth by the operator chain, memoised per loop statement
+/// (the exact walk visits one loop once per enclosing iteration).
+struct Structural {
+    load_latency: u64,
+    schedules: HashMap<usize, Option<(u64, u64)>>,
+}
 
+impl Structural {
+    fn new(p: &PerfParams) -> Self {
+        Structural {
+            load_latency: p.assumed_load_latency,
+            schedules: HashMap::new(),
+        }
+    }
+}
+
+impl CostSource for Structural {
+    fn pipelined(&mut self, k: &Kernel, loop_stmt: &Stmt, body: &[Stmt]) -> Option<(u64, u64)> {
+        let load_latency = self.load_latency;
+        *self
+            .schedules
+            .entry(loop_stmt as *const Stmt as usize)
+            .or_insert_with(|| {
+                pipeline_eligible(body).then(|| {
+                    let depth = body_depth(k, body).max(load_latency);
+                    (deps::recurrence_ii(k, body), depth)
+                })
+            })
+    }
+}
+
+/// Per-block static cost summary for one thread.
 #[derive(Clone, Copy, Debug, Default)]
 struct Cost {
+    /// Thread-local busy cycles.
     cycles: u64,
+    /// DRAM line traffic in bytes attributed to this block.
     dram_bytes: u64,
+    /// Cycles spent inside critical sections (included in `cycles` too).
     critical: u64,
+    /// Busy cycles of this thread's preloader DMA channel (bursts run on
+    /// the engine, overlapped with compute, but serialize per master).
     dma_busy: u64,
+    /// Cross-thread memory-contention cycles (included in `cycles` too):
+    /// system time, which the launch ramp hides under (see the span model
+    /// in [`CostWalker::model`]).
+    contention: u64,
 }
 
 impl Cost {
@@ -184,6 +239,7 @@ impl Cost {
         self.dram_bytes += o.dram_bytes;
         self.critical += o.critical;
         self.dma_busy += o.dma_busy;
+        self.contention += o.contention;
     }
     fn scale(&self, n: u64) -> Cost {
         Cost {
@@ -191,34 +247,49 @@ impl Cost {
             dram_bytes: self.dram_bytes * n,
             critical: self.critical * n,
             dma_busy: self.dma_busy * n,
+            contention: self.contention * n,
         }
     }
 }
 
 /// Sequential loops at most this long are walked iteration by iteration
-/// (same constant as the analytical simulator's `EXACT_SEQ_TRIP`).
+/// (exact induction values, exact branch resolution) instead of priced as
+/// body-at-iteration-0 × trip. Keeps double buffering's parity/boundary
+/// guards honest while long loops stay O(1) in their trip count.
 const EXACT_SEQ_TRIP: u64 = 16;
 
-struct CostWalker<'k> {
+/// Ceiling on the image-driven exact walk (per thread): keeps the model
+/// O(rows) on irregular kernels while refusing pathological trip counts.
+const MAX_EXACT_WALK: u64 = 1 << 16;
+
+/// Walks one kernel's threads in turn, pricing each statement under the
+/// thread id and the enclosing loops' induction bindings.
+struct CostWalker<'k, S> {
     k: &'k Kernel,
     p: &'k PerfParams,
+    src: S,
     tid: i64,
+    /// Bindings of loop induction variables (`VarId.0` → value), for
+    /// bound/stride evaluation.
     bindings: Vec<Option<i64>>,
+    /// Which bindings are first-iteration approximations (the loop's cost
+    /// is body-at-iter-0 × trip) rather than exact per-iteration values.
     approx: Vec<bool>,
     /// When `Some`, subtree costs of region-forming statements accumulate
-    /// here, keyed by statement address (see [`region_profits`]).
-    recorded: Option<HashMap<usize, Cost>>,
+    /// here, keyed by statement address (see [`model_with_profits`]).
+    recorded: Option<HashMap<usize, RegionProfit>>,
     /// Iteration multiplier of the enclosing extrapolated/unrolled loops:
     /// blocks walked once but executed `scale` times record scaled costs.
     scale: u64,
 }
 
-impl<'k> CostWalker<'k> {
-    fn new(k: &'k Kernel, p: &'k PerfParams, tid: i64) -> Self {
+impl<'k, S: CostSource> CostWalker<'k, S> {
+    fn new(k: &'k Kernel, p: &'k PerfParams, src: S) -> Self {
         CostWalker {
             k,
             p,
-            tid,
+            src,
+            tid: 0,
             bindings: vec![None; k.vars.len()],
             approx: vec![false; k.vars.len()],
             recorded: None,
@@ -226,14 +297,63 @@ impl<'k> CostWalker<'k> {
         }
     }
 
+    /// Walk every hardware thread, then apply the span model.
+    fn model(&mut self) -> Option<PerfModel> {
+        let k = self.k;
+        let nt = k.num_threads.max(1) as usize;
+        let mut per_thread = Vec::with_capacity(nt);
+        let mut contention = Vec::with_capacity(nt);
+        let mut dram_bytes = 0u64;
+        let mut critical_cycles = 0u64;
+        for t in 0..nt {
+            self.tid = t as i64;
+            let c = self.block_cost(&k.body)?;
+            // A thread is done no earlier than its compute chain *and* no
+            // earlier than its DMA engine has streamed every burst it issued.
+            per_thread.push(c.cycles.max(c.dma_busy));
+            contention.push(c.contention);
+            dram_bytes += c.dram_bytes;
+            critical_cycles += c.critical;
+        }
+        // Span model: thread t starts at t·launch_interval and runs its
+        // busy cycles; the run ends when the last thread finishes.
+        // Cross-thread memory contention is *system* time — the shared
+        // banks are busy serving everyone from the first thread onward —
+        // so the launch ramp hides under it rather than stacking on top:
+        // the span is the later of (ramp + contention-free busy) and the
+        // fully contended busy measured from host start.
+        let ramp_span = per_thread
+            .iter()
+            .zip(&contention)
+            .enumerate()
+            .map(|(t, (&c, &ctn))| {
+                (t as u64 * self.p.launch_interval + c.saturating_sub(ctn)).max(c)
+            })
+            .max()
+            .unwrap_or(0);
+        // Critical sections cannot overlap, and all line traffic must
+        // cross the shared channel.
+        let memory_floor = dram_bytes / self.p.dram_bytes_per_cycle.max(1);
+        let total_cycles = ramp_span.max(critical_cycles).max(memory_floor);
+        Some(PerfModel {
+            per_thread,
+            dram_bytes,
+            critical_cycles,
+            ramp_span,
+            total_cycles,
+        })
+    }
+
     /// Accumulate one region-forming statement's subtree cost (times the
     /// enclosing extrapolation multiplier) when recording is on.
     fn record(&mut self, s: &Stmt, c: Cost) {
-        let scale = self.scale;
+        let n = self.scale;
         if let Some(map) = self.recorded.as_mut() {
-            map.entry(s as *const Stmt as usize)
-                .or_default()
-                .add(c.scale(scale));
+            let e = map.entry(s as *const Stmt as usize).or_default();
+            e.cycles += c.cycles * n;
+            e.dram_bytes += c.dram_bytes * n;
+            e.critical_cycles += c.critical * n;
+            e.dma_cycles += c.dma_busy * n;
         }
     }
 
@@ -264,12 +384,15 @@ impl<'k> CostWalker<'k> {
                 let n = self.eval_i64(*len)? as u64;
                 let elem = self.k.local_mem(*mem).elem.size_bytes() as u64;
                 let bytes = n * elem;
+                // The thread pays the issue cost; the DMA engine streams
+                // the burst (setup + channel occupancy, serialized per
+                // master).
                 let occupancy = bytes.max(1).div_ceil(p.dram_bytes_per_cycle.max(1));
                 let out = Cost {
                     cycles: p.burst_issue_cost + p.stmt_base_cost,
                     dram_bytes: bytes,
-                    critical: 0,
                     dma_busy: p.dma_setup + occupancy,
+                    ..Default::default()
                 };
                 self.record(s, out);
                 Some(out)
@@ -279,9 +402,8 @@ impl<'k> CostWalker<'k> {
                 let c = p.sem_acquire_latency + inner.cycles + p.sem_release_latency;
                 let out = Cost {
                     cycles: c,
-                    dram_bytes: inner.dram_bytes,
                     critical: c,
-                    dma_busy: inner.dma_busy,
+                    ..inner
                 };
                 self.record(s, out);
                 Some(out)
@@ -295,16 +417,18 @@ impl<'k> CostWalker<'k> {
                 then_b,
                 else_b,
             } => {
+                // Resolve the branch when possible; otherwise price the
+                // more expensive side (the datapath computes both). A
+                // condition on an enclosing loop's first-iteration binding
+                // is treated as unresolvable — e.g. double buffering's
+                // `if (kb < nblocks)` compute guard holds on every
+                // iteration but the first.
                 let mut out = Cost {
                     cycles: self.seq_stmt_cycles(s),
                     ..Default::default()
                 };
-                let resolved = if self.uses_bound_var(*cond) {
-                    None
-                } else {
-                    self.eval_i64(*cond)
-                };
-                match resolved {
+                let resolved = (!self.uses_bound_var(*cond)).then(|| self.eval_i64(*cond));
+                match resolved.flatten() {
                     Some(c) => out.add(self.block_cost(if c != 0 { then_b } else { else_b })?),
                     None => {
                         let a = self.block_cost(then_b)?;
@@ -322,149 +446,156 @@ impl<'k> CostWalker<'k> {
                 body,
                 unroll,
             } => {
-                let s0 = self.eval_i64(*start)?;
-                let e0 = self.eval_i64(*end)?;
-                let st = self.eval_i64(*step)?;
-                if st == 0 {
-                    return None;
-                }
-                let trip = if st > 0 {
-                    ((e0 - s0).max(0) as u64).div_ceil(st as u64)
-                } else {
-                    ((s0 - e0).max(0) as u64).div_ceil((-st) as u64)
-                };
+                let (s0, st, trip) = self.trip(*start, *end, *step)?;
+                // Bind the induction variable to the first iteration's
+                // value so inner bounds/strides that depend on it resolve.
                 let slot = var.0 as usize;
                 let saved = self.bindings[slot];
                 let saved_approx = self.approx[slot];
                 self.bindings[slot] = Some(s0);
                 self.approx[slot] = true;
                 let out = if *unroll == Unroll::Full {
-                    let saved_scale = self.scale;
-                    self.scale = saved_scale.saturating_mul(trip);
-                    let c = self.block_cost(body);
-                    self.scale = saved_scale;
-                    c.map(|c| c.scale(trip))
+                    // Inlined into the parent graph: no loop control.
+                    self.repeated(body, trip)
                 } else {
-                    self.loop_cost(s, trip, (s0, st), body)
+                    self.loop_cost(s, trip, (s0, st))
                 };
                 self.bindings[slot] = saved;
                 self.approx[slot] = saved_approx;
-                if let Some(c) = out {
-                    self.record(s, c);
-                }
-                out
+                let mut out = out?;
+                out.cycles += self.bound_load_cycles(s);
+                self.record(s, out);
+                Some(out)
             }
         }
     }
 
-    fn loop_cost(
-        &mut self,
-        stmt: &Stmt,
-        trip: u64,
-        (s0, st): (i64, i64),
-        body: &[Stmt],
-    ) -> Option<Cost> {
-        let p = self.p;
+    /// `body` walked once and priced as run `n` times; regions inside it
+    /// record `n` times their cost.
+    fn repeated(&mut self, body: &[Stmt], n: u64) -> Option<Cost> {
+        let saved_scale = self.scale;
+        self.scale = saved_scale.saturating_mul(n);
+        let c = self.block_cost(body);
+        self.scale = saved_scale;
+        c.map(|c| c.scale(n))
+    }
+
+    /// Cost of the non-unrolled loop `stmt`, run `trip` times from `s0` by
+    /// `st`, with its induction variable bound to `s0`.
+    fn loop_cost(&mut self, stmt: &Stmt, trip: u64, (s0, st): (i64, i64)) -> Option<Cost> {
+        let Stmt::For {
+            var, start, body, ..
+        } = stmt
+        else {
+            unreachable!("loop_cost on non-For")
+        };
         if trip == 0 {
             return Some(Cost::default());
         }
-        if pipeline_eligible(body) {
-            let ii = deps::recurrence_ii(self.k, body);
-            let depth = body_depth(self.k, body).max(p.assumed_load_latency);
-            let tr = self.iter_traffic(stmt, body);
-            let bw = p.dram_bytes_per_cycle.max(1);
-            let mem_ii = tr.line_bytes * self.k.num_threads as u64 / bw;
+        if let Some((ii, depth)) = self.src.pipelined(self.k, stmt, body) {
+            let tr = self.iter_traffic(*var, *start, (s0, st), body);
+            // Effective II: a thread cannot issue iterations faster than
+            // its share of the channel sustains its line traffic.
+            let nt = self.k.num_threads as u64;
+            let mem_ii = tr.line_bytes * nt / self.p.dram_bytes_per_cycle.max(1);
             let eff_ii = (ii + tr.lat_iter).max(mem_ii);
-            Some(Cost {
-                cycles: depth + (trip - 1) * eff_ii,
+            let restart = self.src.restart_contention(nt, trip, tr.indep_miss_freq);
+            return Some(Cost {
+                cycles: depth + restart + (trip - 1) * eff_ii,
                 dram_bytes: tr.line_bytes * trip,
-                critical: 0,
-                dma_busy: 0,
-            })
-        } else {
-            if trip <= EXACT_SEQ_TRIP {
-                let slot = match stmt {
-                    Stmt::For { var, .. } => var.0 as usize,
-                    _ => unreachable!("loop_cost on non-For"),
-                };
-                let saved_approx = self.approx[slot];
-                self.approx[slot] = false;
-                let mut total = Cost::default();
-                for it in 0..trip {
-                    self.bindings[slot] = Some(s0 + it as i64 * st);
-                    let Some(c) = self.block_cost(body) else {
-                        self.approx[slot] = saved_approx;
-                        return None;
-                    };
-                    total.add(c);
-                    total.cycles += 1; // LoopIter handshake
-                }
-                self.approx[slot] = saved_approx;
-                total.cycles += 1; // LoopExit
-                return Some(total);
-            }
-            let saved_scale = self.scale;
-            self.scale = saved_scale.saturating_mul(trip);
-            let body_c = self.block_cost(body);
-            self.scale = saved_scale;
-            let body_c = body_c?;
-            let per_iter = body_c.cycles + 1;
-            Some(Cost {
-                cycles: trip * per_iter + 1,
-                dram_bytes: body_c.dram_bytes * trip,
-                critical: body_c.critical * trip,
-                dma_busy: body_c.dma_busy * trip,
-            })
+                contention: restart,
+                ..Default::default()
+            });
         }
+        // Sequential region: per-iteration body cost + loop control.
+        // Memory-dependent inner bounds (CSR row lengths) vary per
+        // iteration, so walk those exactly whenever the image resolves them.
+        let exact = trip <= EXACT_SEQ_TRIP
+            || (self.src.has_image()
+                && trip <= MAX_EXACT_WALK
+                && has_mem_dependent_loop(self.k, body));
+        if exact {
+            let slot = var.0 as usize;
+            let saved_approx = self.approx[slot];
+            self.approx[slot] = false;
+            let mut total = Cost::default();
+            for it in 0..trip {
+                self.bindings[slot] = Some(s0 + it as i64 * st);
+                let Some(c) = self.block_cost(body) else {
+                    self.approx[slot] = saved_approx;
+                    return None;
+                };
+                total.add(c);
+                total.cycles += 1; // LoopIter handshake
+            }
+            self.approx[slot] = saved_approx;
+            total.cycles += 1; // LoopExit
+            return Some(total);
+        }
+        let mut out = self.repeated(body, trip)?;
+        out.cycles += trip + 1; // LoopIter handshakes + LoopExit
+        Some(out)
     }
 
-    /// Per-iteration DRAM traffic of a pipelined loop body (mirror of
-    /// `analytic::iter_traffic`, including the line-buffer stride rules
-    /// and the shared-stream contention term).
-    fn iter_traffic(&mut self, stmt: &Stmt, body: &[Stmt]) -> IterTraffic {
+    /// Per-iteration DRAM behaviour of a pipelined loop body. Line traffic
+    /// honours the per-(thread, buffer) line buffer: an access stream
+    /// whose stride stays inside a line fetches each line once; a stride
+    /// of a line or more fetches a full line per access. Read misses also
+    /// stall the iteration by the round trip beyond the assumed load
+    /// latency (writes are posted).
+    fn iter_traffic(
+        &mut self,
+        var: VarId,
+        start: ExprId,
+        first: (i64, i64),
+        body: &[Stmt],
+    ) -> IterTraffic {
         let line = self.p.dram_line_bytes;
         let bw = self.p.dram_bytes_per_cycle.max(1);
+        // Round trip of one line fetch, minus the latency the pipelined
+        // schedule already tolerates (`iter_stall` in the executor).
         let miss_stall =
             (line.div_ceil(bw) + self.p.dram_latency).saturating_sub(self.p.assumed_load_latency);
         let mut out = IterTraffic::default();
-        let (var, start, step) = match stmt {
-            Stmt::For {
-                var, start, step, ..
-            } => (*var, *start, *step),
-            _ => return out,
-        };
-        let (Some(s0), Some(st)) = (self.eval_i64(start), self.eval_i64(step)) else {
-            return out;
-        };
         let mut accesses = Vec::new();
         collect_ext_accesses(self.k, body, &mut accesses);
         let mut shared_miss_streams = 0u64;
         for a in accesses {
-            let slot = var.0 as usize;
-            let saved = self.bindings[slot];
-            self.bindings[slot] = Some(s0);
-            let i0 = self.eval_i64(a.index);
-            self.bindings[slot] = Some(s0 + st);
-            let i1 = self.eval_i64(a.index);
-            self.bindings[slot] = saved;
+            let (i0, i1) = self.first_two(var, first, a.index);
+            // A data-dependent index (gather through a loaded value) is
+            // priced line-per-access even when the image could evaluate
+            // it: the first two iterations' difference is not a stride.
+            let gather = expr_has_load(self.k, a.index);
             let stride_bytes = match (i0, i1) {
-                (Some(x), Some(y)) => (y - x).unsigned_abs() * a.bytes as u64,
+                (Some(x), Some(y)) if !gather => (y - x).unsigned_abs() * a.bytes as u64,
                 _ => line,
             };
             let lat = if self.p.line_buffers && stride_bytes < line {
+                // Each line is fetched once and reused; a miss (and its
+                // stall) happens once per line's worth of iterations.
                 out.line_bytes += stride_bytes.max(a.bytes as u64).min(line);
+                out.indep_miss_freq += stride_bytes as f64 / line as f64;
                 miss_stall * stride_bytes / line
             } else {
                 out.line_bytes += line;
-                if !a.is_write && self.shared_across_threads(var, start, a.index, i0) {
+                // A gather is never "shared": the sharing probe re-reads
+                // the same stale outer-loop bindings for both thread ids.
+                if !a.is_write && !gather && self.shared_across_threads(var, start, a.index, i0) {
                     shared_miss_streams += 1;
+                } else {
+                    out.indep_miss_freq += 1.0;
                 }
                 miss_stall
             };
+            // Concurrent misses of one iteration overlap (the VLO stage
+            // waits for the worst response), so streams combine by max.
             if !a.is_write {
                 out.lat_iter = out.lat_iter.max(lat);
             }
         }
+        // Thread-invariant miss streams (every thread walks the same
+        // lines, e.g. a shared B column) put the threads in near-lockstep:
+        // each burst queues behind the other threads' coincident bursts.
         let nt = self.k.num_threads as u64;
         if nt > 1 && shared_miss_streams > 0 {
             out.lat_iter += (nt - 1) * shared_miss_streams * line.div_ceil(bw);
@@ -472,6 +603,12 @@ impl<'k> CostWalker<'k> {
         out
     }
 
+    /// Would another thread's iteration-0 address be the same? Detects
+    /// miss streams shared across threads (every thread reading the same B
+    /// column). Heuristic: re-evaluates the loop start and index under a
+    /// different thread id; tid-dependence routed through *outer* loop
+    /// variables is missed — those streams start on different rows and
+    /// rarely collide anyway.
     fn shared_across_threads(
         &mut self,
         var: VarId,
@@ -493,15 +630,81 @@ impl<'k> CostWalker<'k> {
         alt == Some(i0)
     }
 
-    fn seq_stmt_cycles(&self, s: &Stmt) -> u64 {
-        let work = stmt_op_count(self.k, s);
-        let line = self.p.dram_line_bytes;
-        let bw = self.p.dram_bytes_per_cycle.max(1);
-        let miss = line.div_ceil(bw) + self.p.dram_latency;
-        let loads = stmt_ext_loads(self.k, s);
-        self.p.stmt_base_cost + work.div_ceil(self.p.seq_issue_width.max(1)) + loads * miss
+    /// Trip count of a loop over `start..end` by `step` under the current
+    /// bindings, with its start value and step. `None` when a bound does
+    /// not resolve or the step is zero.
+    fn trip(&self, start: ExprId, end: ExprId, step: ExprId) -> Option<(i64, i64, u64)> {
+        let s0 = self.eval_i64(start)?;
+        let e0 = self.eval_i64(end)?;
+        let st = self.eval_i64(step)?;
+        let span = if st > 0 { e0 - s0 } else { s0 - e0 };
+        (st != 0).then(|| (s0, st, (span.max(0) as u64).div_ceil(st.unsigned_abs())))
     }
 
+    /// `index` at the first two iterations of the loop over `var` (start
+    /// value and step `(s0, st)`): the stride probe.
+    fn first_two(
+        &mut self,
+        var: VarId,
+        (s0, st): (i64, i64),
+        index: ExprId,
+    ) -> (Option<i64>, Option<i64>) {
+        let slot = var.0 as usize;
+        let saved = self.bindings[slot];
+        self.bindings[slot] = Some(s0);
+        let i0 = self.eval_i64(index);
+        self.bindings[slot] = Some(s0 + st);
+        let i1 = self.eval_i64(index);
+        self.bindings[slot] = saved;
+        (i0, i1)
+    }
+
+    /// One DRAM round trip: line transfer plus access latency.
+    fn miss_cycles(&self) -> u64 {
+        self.p
+            .dram_line_bytes
+            .div_ceil(self.p.dram_bytes_per_cycle.max(1))
+            + self.p.dram_latency
+    }
+
+    /// Sequential-region cycles of one statement (the executor's
+    /// `StepEvent::Ops` pricing: base cost + work / issue width). External
+    /// loads in sequential code are assumed to miss, which holds for the
+    /// dominant pattern (read-modify-write in critical sections
+    /// invalidates the port line buffer).
+    fn seq_stmt_cycles(&self, s: &Stmt) -> u64 {
+        let work = stmt_op_count(self.k, s);
+        let loads = stmt_ext_loads(self.k, s);
+        self.p.stmt_base_cost
+            + work.div_ceil(self.p.seq_issue_width.max(1))
+            + loads * self.miss_cycles()
+    }
+
+    /// Cycles to evaluate a loop's bound expressions when they load from
+    /// external memory (the CSR `row_ptr[r]..row_ptr[r+1]` pattern). Zero
+    /// for affine bounds. With line buffers on, adjacent pointers into the
+    /// same buffer share a fetched line, so each distinct buffer pays one
+    /// round trip per evaluation; without them every load pays its own.
+    fn bound_load_cycles(&self, s: &Stmt) -> u64 {
+        let loads = stmt_ext_loads(self.k, s);
+        if loads == 0 {
+            return 0;
+        }
+        if !self.p.line_buffers {
+            return loads * self.miss_cycles();
+        }
+        let mut bufs = Vec::new();
+        for e in stmt_exprs(s) {
+            expr_loads(self.k, e, &mut bufs);
+        }
+        bufs.sort_by_key(|a| a.buf.0);
+        bufs.dedup_by_key(|a| a.buf.0);
+        bufs.len() as u64 * self.miss_cycles()
+    }
+
+    /// Does the expression reference a loop induction variable whose
+    /// binding is a first-iteration *approximation*? (Exactly-walked loops
+    /// bind true per-iteration values, which are safe to resolve against.)
     fn uses_bound_var(&self, id: ExprId) -> bool {
         match self.k.expr(id) {
             Expr::Var(v) => self.bindings[v.0 as usize].is_some() && self.approx[v.0 as usize],
@@ -509,15 +712,16 @@ impl<'k> CostWalker<'k> {
         }
     }
 
-    /// Best-effort constant evaluation under the thread id and loop
-    /// bindings. Unlike the analytical simulator there are no launch
-    /// scalars at lint time, so `Arg` is always opaque.
+    /// Best-effort constant evaluation under the thread id, the loop
+    /// bindings and whatever the source knows of the launch.
     fn eval_i64(&self, id: ExprId) -> Option<i64> {
         match self.k.expr(id) {
             Expr::Const(v) => Some(v.as_i64()),
             Expr::ThreadId => Some(self.tid),
             Expr::NumThreads => Some(self.k.num_threads as i64),
-            Expr::Arg(_) => None,
+            Expr::Arg(a) if matches!(self.k.arg(*a).kind, ArgKind::Scalar(_)) => {
+                self.src.scalar(*a)
+            }
             Expr::Var(v) => self.bindings[v.0 as usize],
             Expr::Cast(_, a) => self.eval_i64(*a),
             Expr::Unary(op, a) => {
@@ -536,26 +740,40 @@ impl<'k> CostWalker<'k> {
                 cond,
                 then_v,
                 else_v,
-            } => {
-                let c = self.eval_i64(*cond)?;
-                if c != 0 {
-                    self.eval_i64(*then_v)
-                } else {
-                    self.eval_i64(*else_v)
-                }
+            } => self.eval_i64(if self.eval_i64(*cond)? != 0 {
+                *then_v
+            } else {
+                *else_v
+            }),
+            // Only device-read-only buffers resolve: the device may have
+            // overwritten a writable one by the time the load executes.
+            Expr::LoadExt { buf, index, .. } => {
+                let ArgKind::Buffer { map, .. } = self.k.arg(*buf).kind else {
+                    return None;
+                };
+                let index = usize::try_from(self.eval_i64(*index)?).ok()?;
+                (map == MapDir::To).then(|| self.src.load(*buf, index))?
             }
             _ => None,
         }
     }
 }
 
+/// Per-iteration DRAM behaviour of a pipelined loop body.
 #[derive(Clone, Copy, Debug, Default)]
 struct IterTraffic {
+    /// DRAM line traffic in bytes per iteration (amortized).
     line_bytes: u64,
+    /// Amortized pipeline stall cycles per iteration from read-miss
+    /// latency (beyond the scheduler's assumed load latency).
     lat_iter: u64,
+    /// Expected line fetches per iteration from *thread-independent*
+    /// streams (gathers, per-thread strided walks; 1 per line-per-access
+    /// stream). Shared lockstep streams are priced in `lat_iter` instead.
+    indep_miss_freq: f64,
 }
 
-/// Can the loop body be pipelined? Structural mirror of the scheduler's
+/// Can the loop body be pipelined? Structural form of the scheduler's
 /// decision: any nested sequential region (inner non-unrolled loop,
 /// critical section, barrier, DMA burst) forces sequential execution.
 /// Public so `nymble-hls`'s region analysis classifies loop regions the
@@ -594,121 +812,141 @@ fn body_depth(k: &Kernel, body: &[Stmt]) -> u64 {
         .sum()
 }
 
+/// Does the expression read external memory anywhere? Such values are
+/// data-dependent: an image can evaluate them at one iteration, but the
+/// result carries no structure.
+fn expr_has_load(k: &Kernel, id: ExprId) -> bool {
+    let e = k.expr(id);
+    matches!(e, Expr::LoadExt { .. }) || e.children().into_iter().any(|c| expr_has_load(k, c))
+}
+
+/// Does any loop (at any nesting depth) in `block` draw its bounds from
+/// external memory? Those trips vary per enclosing iteration.
+fn has_mem_dependent_loop(k: &Kernel, block: &[Stmt]) -> bool {
+    block.iter().any(|s| match s {
+        Stmt::For { body, .. } => {
+            stmt_exprs(s).any(|e| expr_has_load(k, e)) || has_mem_dependent_loop(k, body)
+        }
+        Stmt::If { then_b, else_b, .. } => {
+            has_mem_dependent_loop(k, then_b) || has_mem_dependent_loop(k, else_b)
+        }
+        Stmt::Critical { body } => has_mem_dependent_loop(k, body),
+        _ => false,
+    })
+}
+
 /// One external access inside a pipelined loop body.
 #[derive(Clone, Copy, Debug)]
 struct ExtAccess {
-    buf: nymble_ir::ArgId,
+    buf: ArgId,
+    /// Index expression of the access (for stride analysis).
     index: ExprId,
+    /// Payload bytes per access.
     bytes: u32,
+    /// Posted store (no response latency) vs. load.
     is_write: bool,
 }
 
-fn collect_ext_accesses(kernel: &Kernel, block: &[Stmt], out: &mut Vec<ExtAccess>) {
-    fn walk_expr(kernel: &Kernel, id: ExprId, out: &mut Vec<ExtAccess>) {
-        match kernel.expr(id) {
-            Expr::LoadExt { buf, index, ty } => {
-                out.push(ExtAccess {
-                    buf: *buf,
-                    index: *index,
-                    bytes: ty.size_bytes(),
-                    is_write: false,
-                });
-                walk_expr(kernel, *index, out);
-            }
-            e => {
-                for c in e.children() {
-                    walk_expr(kernel, c, out);
-                }
-            }
-        }
+/// Every external load in the expression tree `id`.
+fn expr_loads(kernel: &Kernel, id: ExprId, out: &mut Vec<ExtAccess>) {
+    let e = kernel.expr(id);
+    if let Expr::LoadExt { buf, index, ty } = e {
+        out.push(ExtAccess {
+            buf: *buf,
+            index: *index,
+            bytes: ty.size_bytes(),
+            is_write: false,
+        });
     }
+    for c in e.children() {
+        expr_loads(kernel, c, out);
+    }
+}
+
+/// All external accesses (loads and stores) directly inside `block`,
+/// excluding nested non-unrolled loops (they cost themselves).
+fn collect_ext_accesses(kernel: &Kernel, block: &[Stmt], out: &mut Vec<ExtAccess>) {
     for s in block {
         match s {
-            Stmt::Assign { expr, .. } => walk_expr(kernel, *expr, out),
-            Stmt::StoreExt { buf, index, value } => {
-                out.push(ExtAccess {
-                    buf: *buf,
-                    index: *index,
-                    bytes: kernel.buffer_elem_size(*buf),
-                    is_write: true,
-                });
-                walk_expr(kernel, *index, out);
-                walk_expr(kernel, *value, out);
-            }
-            Stmt::StoreLocal { index, value, .. } => {
-                walk_expr(kernel, *index, out);
-                walk_expr(kernel, *value, out);
-            }
             Stmt::If { then_b, else_b, .. } => {
                 collect_ext_accesses(kernel, then_b, out);
                 collect_ext_accesses(kernel, else_b, out);
             }
-            Stmt::For { body, unroll, .. } if *unroll == Unroll::Full => {
-                collect_ext_accesses(kernel, body, out);
+            Stmt::For { body, unroll, .. } => {
+                if *unroll == Unroll::Full {
+                    collect_ext_accesses(kernel, body, out);
+                }
             }
-            _ => {}
+            _ => {
+                if let Stmt::StoreExt { buf, index, .. } = s {
+                    out.push(ExtAccess {
+                        buf: *buf,
+                        index: *index,
+                        bytes: kernel.buffer_elem_size(*buf),
+                        is_write: true,
+                    });
+                }
+                for e in stmt_exprs(s) {
+                    expr_loads(kernel, e, out);
+                }
+            }
         }
     }
 }
 
-/// Scalar-operation count of one statement's expressions (mirror of
-/// `analytic::stmt_op_count`): `LoadExt` is excluded — it is priced as a
-/// miss by `stmt_ext_loads`, not as issue work.
-fn stmt_op_count(k: &Kernel, s: &Stmt) -> u64 {
-    fn expr_ops(k: &Kernel, id: ExprId) -> u64 {
-        let own = match k.expr(id) {
-            Expr::Unary(..)
-            | Expr::Binary(..)
-            | Expr::Cast(..)
-            | Expr::Select { .. }
-            | Expr::LoadLocal { .. } => 1,
-            _ => 0,
-        };
-        own + k
-            .expr(id)
-            .children()
-            .into_iter()
-            .map(|c| expr_ops(k, c))
-            .sum::<u64>()
-    }
-    match s {
-        Stmt::Assign { expr, .. } => expr_ops(k, *expr),
+/// The expressions a statement evaluates itself: nested blocks are
+/// statements of their own, and DMA operands are not datapath work.
+fn stmt_exprs(s: &Stmt) -> impl Iterator<Item = ExprId> {
+    let exprs = match *s {
+        Stmt::Assign { expr, .. } | Stmt::If { cond: expr, .. } => [Some(expr), None, None],
         Stmt::StoreExt { index, value, .. } | Stmt::StoreLocal { index, value, .. } => {
-            expr_ops(k, *index) + expr_ops(k, *value)
+            [Some(index), Some(value), None]
         }
-        Stmt::If { cond, .. } => expr_ops(k, *cond),
         Stmt::For {
             start, end, step, ..
-        } => expr_ops(k, *start) + expr_ops(k, *end) + expr_ops(k, *step),
-        _ => 0,
+        } => [Some(start), Some(end), Some(step)],
+        _ => [None; 3],
+    };
+    exprs.into_iter().flatten()
+}
+
+/// Sum of `count` over every node of the expressions a statement
+/// evaluates itself.
+fn stmt_expr_sum(k: &Kernel, s: &Stmt, count: fn(&Expr) -> u64) -> u64 {
+    fn expr_sum(k: &Kernel, id: ExprId, count: fn(&Expr) -> u64) -> u64 {
+        let e = k.expr(id);
+        count(e)
+            + e.children()
+                .into_iter()
+                .map(|c| expr_sum(k, c, count))
+                .sum::<u64>()
     }
+    stmt_exprs(s).map(|e| expr_sum(k, e, count)).sum()
+}
+
+/// Scalar-operation count of one statement's expressions. `LoadExt` is
+/// excluded — it is priced as a miss by [`stmt_ext_loads`], not as issue
+/// work.
+fn stmt_op_count(k: &Kernel, s: &Stmt) -> u64 {
+    stmt_expr_sum(k, s, |e| {
+        matches!(
+            e,
+            Expr::Unary(..)
+                | Expr::Binary(..)
+                | Expr::Cast(..)
+                | Expr::Select { .. }
+                | Expr::LoadLocal { .. }
+        ) as u64
+    })
 }
 
 /// Number of external loads in one statement's expressions (each is a
 /// full DRAM round-trip in sequential mode).
 fn stmt_ext_loads(k: &Kernel, s: &Stmt) -> u64 {
-    fn expr_loads(k: &Kernel, id: ExprId) -> u64 {
-        let own = matches!(k.expr(id), Expr::LoadExt { .. }) as u64;
-        own + k
-            .expr(id)
-            .children()
-            .into_iter()
-            .map(|c| expr_loads(k, c))
-            .sum::<u64>()
-    }
-    match s {
-        Stmt::Assign { expr, .. } => expr_loads(k, *expr),
-        Stmt::StoreExt { index, value, .. } | Stmt::StoreLocal { index, value, .. } => {
-            expr_loads(k, *index) + expr_loads(k, *value)
-        }
-        Stmt::If { cond, .. } => expr_loads(k, *cond),
-        Stmt::For {
-            start, end, step, ..
-        } => expr_loads(k, *start) + expr_loads(k, *end) + expr_loads(k, *step),
-        _ => 0,
-    }
+    stmt_expr_sum(k, s, |e| matches!(e, Expr::LoadExt { .. }) as u64)
 }
 
+/// Bytes moved by the value expression of an external store.
 fn expr_bytes(k: &Kernel, id: ExprId) -> u32 {
     match k.expr(id) {
         Expr::Const(v) => v.ty().size_bytes(),
@@ -737,9 +975,8 @@ struct Pending {
 struct Finder<'k> {
     k: &'k Kernel,
     nt: usize,
-    /// One cost walker per thread, used purely for per-thread constant
-    /// evaluation under the current loop bindings.
-    threads: Vec<CostWalker<'k>>,
+    /// One cost walker per thread, for evaluation under its bindings.
+    threads: Vec<CostWalker<'k, Structural>>,
     stmt_idx: usize,
     pending: Vec<Pending>,
     first_top_barrier: Option<usize>,
@@ -758,11 +995,16 @@ pub(crate) fn run_perf_checks(k: &Kernel, p: &PerfParams) -> Vec<Diagnostic> {
     let nt = k.num_threads.max(1) as usize;
     let mut mem_read = vec![false; k.local_mems.len()];
     let mut mem_written = vec![false; k.local_mems.len()];
-    mark_local_usage(k, &k.body, &mut mem_read, &mut mem_written);
+    mark_local_usage(k, &mut mem_read, &mut mem_written);
     let mut f = Finder {
         k,
         nt,
-        threads: (0..nt).map(|t| CostWalker::new(k, p, t as i64)).collect(),
+        threads: (0..nt)
+            .map(|t| CostWalker {
+                tid: t as i64,
+                ..CostWalker::new(k, p, Structural::new(p))
+            })
+            .collect(),
         stmt_idx: 0,
         pending: Vec::new(),
         first_top_barrier: None,
@@ -831,7 +1073,7 @@ pub(crate) fn run_perf_checks(k: &Kernel, p: &PerfParams) -> Vec<Diagnostic> {
     out.into_iter().map(|(_, _, d)| d).collect()
 }
 
-fn mark_local_usage(k: &Kernel, block: &[Stmt], read: &mut [bool], written: &mut [bool]) {
+fn mark_local_usage(k: &Kernel, read: &mut [bool], written: &mut [bool]) {
     fn expr_reads(k: &Kernel, e: ExprId, read: &mut [bool]) {
         if let Expr::LoadLocal { mem, .. } = k.expr(e) {
             read[mem.0 as usize] = true;
@@ -840,45 +1082,16 @@ fn mark_local_usage(k: &Kernel, block: &[Stmt], read: &mut [bool], written: &mut
             expr_reads(k, c, read);
         }
     }
-    for s in block {
-        match s {
-            Stmt::Assign { expr, .. } => expr_reads(k, *expr, read),
-            Stmt::StoreExt { index, value, .. } => {
-                expr_reads(k, *index, read);
-                expr_reads(k, *value, read);
-            }
-            Stmt::StoreLocal { mem, index, value } => {
-                written[mem.0 as usize] = true;
-                expr_reads(k, *index, read);
-                expr_reads(k, *value, read);
-            }
-            Stmt::If {
-                cond,
-                then_b,
-                else_b,
-            } => {
-                expr_reads(k, *cond, read);
-                mark_local_usage(k, then_b, read, written);
-                mark_local_usage(k, else_b, read, written);
-            }
-            Stmt::For {
-                start,
-                end,
-                step,
-                body,
-                ..
-            } => {
-                for e in [start, end, step] {
-                    expr_reads(k, *e, read);
-                }
-                mark_local_usage(k, body, read, written);
-            }
-            Stmt::Critical { body } => mark_local_usage(k, body, read, written),
-            // DMA endpoints themselves don't count as compute usage: that
-            // is exactly what NP003 is probing.
-            Stmt::Barrier | Stmt::Preload { .. } | Stmt::WriteBack { .. } => {}
+    nymble_ir::stmt::visit_stmts(&k.body, &mut |s| {
+        if let Stmt::StoreLocal { mem, .. } = s {
+            written[mem.0 as usize] = true;
         }
-    }
+        // DMA endpoints themselves don't count as compute usage: that is
+        // exactly what NP003 is probing.
+        for e in stmt_exprs(s) {
+            expr_reads(k, e, read);
+        }
+    });
 }
 
 impl<'k> Finder<'k> {
@@ -899,22 +1112,10 @@ impl<'k> Finder<'k> {
                     let mut trips: Vec<Option<u64>> = Vec::with_capacity(self.nt);
                     let mut saved = Vec::with_capacity(self.nt);
                     for w in &mut self.threads {
-                        let s0 = w.eval_i64(*start);
-                        let e0 = w.eval_i64(*end);
-                        let st = w.eval_i64(*step);
-                        let trip = match (s0, e0, st) {
-                            (Some(s0), Some(e0), Some(st)) if st > 0 => {
-                                Some(((e0 - s0).max(0) as u64).div_ceil(st as u64))
-                            }
-                            (Some(s0), Some(e0), Some(st)) if st < 0 => {
-                                Some(((s0 - e0).max(0) as u64).div_ceil((-st) as u64))
-                            }
-                            _ => None,
-                        };
-                        trips.push(trip);
+                        trips.push(w.trip(*start, *end, *step).map(|(_, _, n)| n));
                         let slot = var.0 as usize;
                         saved.push((w.bindings[slot], w.approx[slot]));
-                        w.bindings[slot] = s0;
+                        w.bindings[slot] = w.eval_i64(*start);
                         w.approx[slot] = true;
                     }
                     let max_trip = trips.iter().filter_map(|t| *t).max().unwrap_or(0);
@@ -927,11 +1128,8 @@ impl<'k> Finder<'k> {
                     // Track enclosing trips for NP004 (critical entries).
                     let saved_prod = self.trip_prod.clone();
                     if *unroll == Unroll::None {
-                        for (t, trip) in trips.iter().enumerate() {
-                            self.trip_prod[t] = match (self.trip_prod[t], trip) {
-                                (Some(a), Some(b)) => Some(a * b),
-                                _ => None,
-                            };
+                        for (prod, trip) in self.trip_prod.iter_mut().zip(&trips) {
+                            *prod = prod.zip(*trip).map(|(a, b)| a * b);
                         }
                     }
                     self.walk_block(body, false);
@@ -1013,23 +1211,13 @@ impl<'k> Finder<'k> {
         let mut flagged: Vec<(nymble_ir::ArgId, u64)> = Vec::new();
         for a in accesses {
             // Evaluate the stride on the first thread whose loop resolves.
-            let mut stride_bytes = None;
-            for w in &mut self.threads {
-                let (Some(s0), Some(st)) = (w.eval_i64(start), w.eval_i64(step)) else {
-                    continue;
-                };
-                let slot = var.0 as usize;
-                let saved = w.bindings[slot];
-                w.bindings[slot] = Some(s0);
-                let i0 = w.eval_i64(a.index);
-                w.bindings[slot] = Some(s0 + st);
-                let i1 = w.eval_i64(a.index);
-                w.bindings[slot] = saved;
-                if let (Some(x), Some(y)) = (i0, i1) {
-                    stride_bytes = Some((y - x).unsigned_abs() * a.bytes as u64);
-                    break;
+            let stride_bytes = self.threads.iter_mut().find_map(|w| {
+                let loop_start = (w.eval_i64(start)?, w.eval_i64(step)?);
+                match w.first_two(var, loop_start, a.index) {
+                    (Some(x), Some(y)) => Some((y - x).unsigned_abs() * a.bytes as u64),
+                    _ => None,
                 }
-            }
+            });
             let Some(stride_bytes) = stride_bytes else {
                 continue;
             };
@@ -1165,7 +1353,10 @@ mod tests {
             kb.set(acc, s);
         });
         let k = kb.finish();
-        let p = PerfParams::default().with_launch_interval(200);
+        let p = PerfParams {
+            launch_interval: 200,
+            ..Default::default()
+        };
         let m = model(&k, &p).expect("resolvable");
         assert_eq!(m.per_thread.len(), 1);
         // 100 sequential f32 loads: at least 4 bytes of line traffic each.
@@ -1238,7 +1429,7 @@ mod tests {
         });
         let k = kb.finish();
         let p = PerfParams::default();
-        let profits = region_profits(&k, &p).expect("resolvable");
+        let (_, profits) = model_with_profits(&k, &p).expect("resolvable");
         let outer = &k.body[0];
         let Stmt::For { body, .. } = outer else {
             panic!("outer loop expected");
@@ -1269,7 +1460,7 @@ mod tests {
         let bound = kb.arg(n);
         kb.for_range("i", bound, |_, _| {});
         let k = kb.finish();
-        assert!(region_profits(&k, &PerfParams::default()).is_none());
+        assert!(model_with_profits(&k, &PerfParams::default()).is_none());
     }
 
     #[test]
@@ -1288,7 +1479,7 @@ mod tests {
         });
         let k = kb.finish();
         let p = PerfParams::default();
-        let profits = region_profits(&k, &p).expect("resolvable");
+        let (_, profits) = model_with_profits(&k, &p).expect("resolvable");
         let outer = &k.body[0];
         let Stmt::For { body, .. } = outer else {
             panic!("outer loop expected");
