@@ -3,6 +3,12 @@
 //! simulator; these pins catch any refactor of the cost walker or its
 //! parameter tables that moves a single cycle or byte. On a mismatch the
 //! test prints the actual table, ready to paste.
+//!
+//! Three views of the one walker are pinned: the compiled-schedule
+//! estimate (GEMM, π, SpMV with its memory image), the structural model
+//! perf-lint prices against (every lint fixture plus the extra kernels:
+//! `If` guards, thread-dependent bounds, critical sections, bursts) and
+//! the region-tree profits of the two blocked GEMMs.
 
 use bench::{analytic_report, gemm_launch, gemm_sim_config, pi_launch, pi_sim_config};
 use bench::{spmv_launch, spmv_sim_config};
@@ -10,7 +16,8 @@ use kernels::gemm::{self, GemmParams, GemmVersion};
 use kernels::pi::{self, PiParams};
 use kernels::spmv::{self, Csr};
 use nymble_hls::{AccelCache, RegionTree};
-use nymble_lint::PerfParams;
+use nymble_ir::Kernel;
+use nymble_lint::{perf, PerfParams};
 
 /// `(label, [total_cycles, dram_bytes, critical_cycles])`.
 #[rustfmt::skip]
@@ -72,6 +79,81 @@ const DOUBLE_BUFFERED_REGIONS: &[(&str, [u64; 5])] = &[
     ("gemm_dbuf/ib/jb/wr/writeback:C_local", [2560, 16384, 0, 6656, 9472]),
 ];
 
+/// `[dram_bytes, critical_cycles, total_cycles]` and `per_thread` of the
+/// structural `perf::model`; `None` where the model cannot price the
+/// kernel statically.
+type ModelPin = Option<([u64; 3], &'static [u64])>;
+
+#[rustfmt::skip]
+const MODELS: &[(&str, ModelPin)] = &[
+    ("fixture/nl001_race", Some(([64, 0, 880015], &[15, 15]))),
+    ("fixture/nl001_disjoint", Some(([64, 0, 880011], &[11, 11]))),
+    ("fixture/nl002_divergent", Some(([64, 0, 880013], &[21, 13]))),
+    ("fixture/nl002_uniform", Some(([64, 0, 880021], &[21, 21]))),
+    ("fixture/nl002_tid_divergent", Some(([64, 0, 880013], &[21, 13]))),
+    ("fixture/nl002_tid_uniform", Some(([64, 0, 880021], &[21, 21]))),
+    ("fixture/nl003_lost_update", Some(([64, 0, 880052], &[52, 52]))),
+    ("fixture/nl003_critical", Some(([256, 536, 880273], &[273, 273]))),
+    ("fixture/nl004_oob", Some(([64, 0, 880018], &[18, 18]))),
+    ("fixture/nl004_inbounds", Some(([64, 0, 880017], &[17, 17]))),
+    ("fixture/nl005_dead_to", Some(([64, 0, 880001], &[1, 1]))),
+    ("fixture/nl005_used_to", Some(([64, 0, 880050], &[50, 50]))),
+    ("fixture/nl006_dead_from", Some(([64, 0, 880050], &[50, 50]))),
+    ("fixture/nl006_written_from", Some(([64, 0, 880050], &[50, 50]))),
+    ("fixture/np001_recurrence", Some(([8320, 0, 2645132], &[5132, 5132, 5132, 5132]))),
+    ("fixture/np001_stream", Some(([512, 0, 880110], &[110, 110]))),
+    ("fixture/np002_strided", Some(([8704, 0, 882662], &[2662, 2662]))),
+    ("fixture/np002_unit", Some(([512, 0, 880106], &[106, 106]))),
+    ("fixture/np003_dead_preload", Some(([2112, 0, 880028], &[28, 28]))),
+    ("fixture/np003_live_preload", Some(([512, 0, 880044], &[44, 44]))),
+    ("fixture/np004_critical_loop", Some(([8192, 17152, 2644353], &[4353, 4353, 4353, 4353]))),
+    ("fixture/np004_critical_once", Some(([128, 268, 2640107], &[107, 107, 107, 107]))),
+    ("fixture/np005_imbalanced", Some(([64, 0, 880530], &[274, 530]))),
+    ("fixture/np005_balanced", Some(([64, 0, 880274], &[274, 274]))),
+    ("extra/vecadd", Some(([3072, 0, 2640178], &[178, 178, 178, 178]))),
+    ("extra/dot", Some(([2176, 268, 2640294], &[294, 294, 294, 294]))),
+    ("extra/jacobi", Some(([3920, 0, 2640199], &[265, 265, 199, 199]))),
+    ("extra/histogram", Some(([2048, 10688, 2642689], &[2689, 2689, 2689, 2689]))),
+];
+
+#[rustfmt::skip]
+const BLOCKED_REGIONS_D128: &[(&str, [u64; 5])] = &[
+    ("gemm_blocked", [15252008, 8454144, 0, 0, 15384104]),
+    ("gemm_blocked/ib", [15252008, 8454144, 0, 26624, 15410728]),
+    ("gemm_blocked/ib/jb", [15251984, 8454144, 0, 26624, 15410704]),
+    ("gemm_blocked/ib/jb/z", [18176, 0, 0, 0, 18176]),
+    ("gemm_blocked/ib/jb/kb", [15220992, 8388608, 0, 0, 15352064]),
+    ("gemm_blocked/ib/jb/kb/r", [2564096, 8388608, 0, 0, 2695168]),
+    ("gemm_blocked/ib/jb/kb/x", [12652544, 0, 0, 0, 12652544]),
+    ("gemm_blocked/ib/jb/kb/x/y", [12615680, 0, 0, 0, 12615680]),
+    ("gemm_blocked/ib/jb/kb/x/y/v", [11010048, 0, 0, 0, 11010048]),
+    ("gemm_blocked/ib/jb/wr", [12544, 65536, 0, 26624, 40192]),
+    ("gemm_blocked/ib/jb/wr/writeback:C_local", [10240, 65536, 0, 26624, 37888]),
+];
+
+#[rustfmt::skip]
+const DOUBLE_BUFFERED_REGIONS_D128: &[(&str, [u64; 5])] = &[
+    ("gemm_dbuf", [13901096, 2293760, 0, 0, 13936936]),
+    ("gemm_dbuf/ib", [13901096, 2293760, 0, 931840, 14868776]),
+    ("gemm_dbuf/ib/jb", [13901072, 2293760, 0, 931840, 14868752]),
+    ("gemm_dbuf/ib/jb/z", [18176, 0, 0, 0, 18176]),
+    ("gemm_dbuf/ib/jb/kbi", [13870080, 2228224, 0, 905216, 14810112]),
+    ("gemm_dbuf/ib/jb/kbi/r", [387328, 2228224, 0, 905216, 1327360]),
+    ("gemm_dbuf/ib/jb/kbi/r/preload:A_local0", [174080, 1114112, 0, 452608, 644096]),
+    ("gemm_dbuf/ib/jb/kbi/r/preload:B_local0", [174080, 1114112, 0, 452608, 644096]),
+    ("gemm_dbuf/ib/jb/kbi/r", [387328, 2228224, 0, 905216, 1327360]),
+    ("gemm_dbuf/ib/jb/kbi/r/preload:A_local1", [174080, 1114112, 0, 452608, 644096]),
+    ("gemm_dbuf/ib/jb/kbi/r/preload:B_local1", [174080, 1114112, 0, 452608, 644096]),
+    ("gemm_dbuf/ib/jb/kbi/x", [13443328, 0, 0, 0, 13443328]),
+    ("gemm_dbuf/ib/jb/kbi/x/y", [13404160, 0, 0, 0, 13404160]),
+    ("gemm_dbuf/ib/jb/kbi/x/y/v", [11698176, 0, 0, 0, 11698176]),
+    ("gemm_dbuf/ib/jb/kbi/x", [13443328, 0, 0, 0, 13443328]),
+    ("gemm_dbuf/ib/jb/kbi/x/y", [13404160, 0, 0, 0, 13404160]),
+    ("gemm_dbuf/ib/jb/kbi/x/y/v", [11698176, 0, 0, 0, 11698176]),
+    ("gemm_dbuf/ib/jb/wr", [12544, 65536, 0, 26624, 40192]),
+    ("gemm_dbuf/ib/jb/wr/writeback:C_local", [10240, 65536, 0, 26624, 37888]),
+];
+
 /// T=8, 4-lane vectors, 8×8 blocks.
 fn gemm_params(dim: i64) -> GemmParams {
     GemmParams {
@@ -117,8 +199,36 @@ fn actual_estimates() -> Vec<(String, [u64; 3])> {
     out
 }
 
-fn actual_regions(v: GemmVersion) -> Vec<(String, [u64; 5])> {
-    let k = gemm::build(v, &gemm_params(64));
+type ModelRow = (String, Option<([u64; 3], Vec<u64>)>);
+
+fn actual_models() -> Vec<ModelRow> {
+    let extra: [(&str, Kernel); 4] = [
+        ("vecadd", kernels::extra::vecadd(64, 4)),
+        ("dot", kernels::extra::dot(64, 4)),
+        ("jacobi", kernels::extra::jacobi(16, 4)),
+        ("histogram", kernels::extra::histogram(64, 8, 4)),
+    ];
+    let fixtures = kernels::fixtures::all()
+        .into_iter()
+        .map(|f| (format!("fixture/{}", f.name), f.kernel));
+    let extra = extra
+        .into_iter()
+        .map(|(name, k)| (format!("extra/{name}"), k));
+    fixtures
+        .chain(extra)
+        .map(|(label, k)| {
+            let m = perf::model(&k, &PerfParams::default());
+            let values = m.map(|m| {
+                let totals = [m.dram_bytes, m.critical_cycles, m.total_cycles];
+                (totals, m.per_thread)
+            });
+            (label, values)
+        })
+        .collect()
+}
+
+fn actual_regions(v: GemmVersion, dim: i64) -> Vec<(String, [u64; 5])> {
+    let k = gemm::build(v, &gemm_params(dim));
     let tree = RegionTree::build(&k, &PerfParams::default());
     assert!(
         tree.analytic,
@@ -160,6 +270,30 @@ fn assert_pinned<const N: usize>(
 }
 
 #[test]
+fn structural_models_are_pinned() {
+    let actual = actual_models();
+    let same = actual.len() == MODELS.len()
+        && actual.iter().zip(MODELS).all(|(a, p)| {
+            a.0 == p.0
+                && match (&a.1, &p.1) {
+                    (None, None) => true,
+                    (Some((at, ap)), Some((pt, pp))) => at == pt && ap.as_slice() == *pp,
+                    _ => false,
+                }
+        });
+    if !same {
+        let rows: Vec<String> = actual
+            .iter()
+            .map(|(label, m)| match m {
+                None => format!("    ({label:?}, None),"),
+                Some((t, per)) => format!("    ({label:?}, Some(({t:?}, &{per:?}))),"),
+            })
+            .collect();
+        panic!("perf::model moved; actual values:\n{}", rows.join("\n"));
+    }
+}
+
+#[test]
 fn analytic_estimates_are_pinned() {
     assert_pinned("estimate_with_image", &actual_estimates(), ESTIMATES);
 }
@@ -168,12 +302,26 @@ fn analytic_estimates_are_pinned() {
 fn region_profits_are_pinned() {
     assert_pinned(
         "Blocked",
-        &actual_regions(GemmVersion::Blocked),
+        &actual_regions(GemmVersion::Blocked, 64),
         BLOCKED_REGIONS,
     );
     assert_pinned(
         "DoubleBuffered",
-        &actual_regions(GemmVersion::DoubleBuffered),
+        &actual_regions(GemmVersion::DoubleBuffered, 64),
         DOUBLE_BUFFERED_REGIONS,
+    );
+}
+
+#[test]
+fn region_profits_at_dim_128_are_pinned() {
+    assert_pinned(
+        "Blocked/d128",
+        &actual_regions(GemmVersion::Blocked, 128),
+        BLOCKED_REGIONS_D128,
+    );
+    assert_pinned(
+        "DoubleBuffered/d128",
+        &actual_regions(GemmVersion::DoubleBuffered, 128),
+        DOUBLE_BUFFERED_REGIONS_D128,
     );
 }
