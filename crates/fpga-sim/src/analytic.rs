@@ -150,8 +150,10 @@ struct Compiled<'a> {
 impl CostSource for Compiled<'_> {
     /// The compiled schedule, under the executor's `loop_mode` rule: a
     /// loop whose dataflow graph embeds a region (inner loop, critical
-    /// section, burst) runs sequentially.
-    fn pipelined(&mut self, _k: &Kernel, loop_stmt: &Stmt, _body: &[Stmt]) -> Option<(u64, u64)> {
+    /// section, burst) runs sequentially. The walker asks once per loop
+    /// statement, so the `LoopMap` lookup and the graph scans run once per
+    /// loop, not once per visit of the image-driven row walk.
+    fn pipelined(&self, _k: &Kernel, loop_stmt: &Stmt, _body: &[Stmt]) -> Option<(u64, u64)> {
         let id = self.loops.id_of(loop_stmt).0 as usize;
         let sched = self.accel.loop_schedules[id].as_ref()?;
         let dfg = self.accel.loop_dfgs[id].as_ref()?;

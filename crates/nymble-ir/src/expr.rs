@@ -98,23 +98,28 @@ pub enum Expr {
 }
 
 impl Expr {
-    /// Children of this node, for generic traversal.
-    pub fn children(&self) -> Vec<ExprId> {
-        match self {
+    /// Children of this node, for generic traversal: at most three, so the
+    /// iterator lives on the stack and a tree walk allocates nothing.
+    pub fn children(&self) -> impl ExactSizeIterator<Item = ExprId> {
+        let none = ExprId(0);
+        let (ids, n) = match self {
             Expr::Const(_) | Expr::Arg(_) | Expr::ThreadId | Expr::NumThreads | Expr::Var(_) => {
-                Vec::new()
+                ([none; 3], 0)
             }
-            Expr::Unary(_, a) | Expr::Cast(_, a) | Expr::Lane(a, _) | Expr::Splat(a, _) => {
-                vec![*a]
-            }
-            Expr::Binary(_, a, b) => vec![*a, *b],
+            Expr::Unary(_, a)
+            | Expr::Cast(_, a)
+            | Expr::Lane(a, _)
+            | Expr::Splat(a, _)
+            | Expr::LoadExt { index: a, .. }
+            | Expr::LoadLocal { index: a, .. } => ([*a, none, none], 1),
+            Expr::Binary(_, a, b) => ([*a, *b, none], 2),
             Expr::Select {
                 cond,
                 then_v,
                 else_v,
-            } => vec![*cond, *then_v, *else_v],
-            Expr::LoadExt { index, .. } | Expr::LoadLocal { index, .. } => vec![*index],
-        }
+            } => ([*cond, *then_v, *else_v], 3),
+        };
+        ids.into_iter().take(n)
     }
 
     /// True for operations whose delay cannot be statically bounded

@@ -89,7 +89,7 @@ impl LoopMap {
 fn block_has_vlo(k: &Kernel, b: &Block) -> bool {
     fn expr_has_vlo(k: &Kernel, id: crate::expr::ExprId) -> bool {
         let e = k.expr(id);
-        e.is_vlo() || e.children().into_iter().any(|c| expr_has_vlo(k, c))
+        e.is_vlo() || e.children().any(|c| expr_has_vlo(k, c))
     }
     b.iter().any(|s| match s {
         Stmt::Assign { expr, .. } => expr_has_vlo(k, *expr),

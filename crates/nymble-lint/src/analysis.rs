@@ -249,10 +249,7 @@ fn expr_tainted(k: &Kernel, e: ExprId, tainted: &HashSet<VarId>) -> bool {
         Expr::Var(v) => tainted.contains(v),
         Expr::Const(_) | Expr::Arg(_) | Expr::NumThreads => false,
         Expr::LoadExt { index, .. } => expr_tainted(k, *index, tainted),
-        other => other
-            .children()
-            .iter()
-            .any(|c| expr_tainted(k, *c, tainted)),
+        other => other.children().any(|c| expr_tainted(k, c, tainted)),
     }
 }
 
@@ -522,7 +519,6 @@ impl<'k> Collector<'k> {
             }
             other => other
                 .children()
-                .into_iter()
                 .any(|c| self.find_rmw_load(c, buf, store_index)),
         }
     }

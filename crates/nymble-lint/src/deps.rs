@@ -104,9 +104,9 @@ pub(crate) fn node_latency(k: &Kernel, e: ExprId) -> u64 {
 /// Total operator latency of the whole expression tree (an upper bound on
 /// the critical path; used for pipeline depth estimates).
 pub(crate) fn expr_chain_latency(k: &Kernel, e: ExprId) -> u64 {
-    let children = k.expr(e).children();
-    let deepest = children
-        .into_iter()
+    let deepest = k
+        .expr(e)
+        .children()
         .map(|c| expr_chain_latency(k, c))
         .max()
         .unwrap_or(0);
@@ -136,7 +136,6 @@ fn expr_dist(k: &Kernel, e: ExprId, dist: &HashMap<VarId, Option<u64>>) -> Optio
         other => {
             let through = other
                 .children()
-                .into_iter()
                 .filter_map(|c| expr_dist(k, c, dist))
                 .max()?;
             Some(through + node_latency(k, e))
@@ -206,7 +205,6 @@ fn path_latency_from_load(
     let through = k
         .expr(root)
         .children()
-        .into_iter()
         .filter_map(|c| path_latency_from_load(k, c, is_needle))
         .max()?;
     Some(through + node_latency(k, root))

@@ -22,12 +22,27 @@
 //! The resulting [`PerfModel`] is what every diagnostic's quantitative
 //! prediction is priced against, and what `bench` cross-validates against
 //! the compiled-schedule estimate within 25% on the triggering fixtures.
+//!
+//! Short sequential loops are walked iteration by iteration, and such
+//! walks nest, so one loop statement is visited many times. The walker
+//! therefore prices each loop once per distinct context and reuses the
+//! result (with the region profits recorded under it, rescaled). A
+//! context is the loop statement, the thread id when the subtree reads it,
+//! and the binding and exactness of each variable the subtree's evaluated
+//! expressions read from outside it. Nothing else the walk reads varies,
+//! so a reused price is the price a fresh walk would give. The one
+//! exception to reuse is the image-driven walk over rows whose inner
+//! bounds come from memory: every row is a new context there, so it
+//! bypasses the memo. Facts that depend only on a statement (sequential
+//! cycles, bound-load cycles, a pipelined body's accesses, the source's
+//! schedule) are derived once per statement.
 
 use crate::deps;
 use crate::diag::{Code, Diagnostic, PredMetric};
 use nymble_ir::stmt::Unroll;
 use nymble_ir::{ArgId, ArgKind, Expr, ExprId, Kernel, MapDir, Stmt, Value, VarId};
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// The latency/bandwidth parameters the model prices against. These
 /// defaults are the platform's: `fpga_sim::SimConfig::default()` takes its
@@ -149,11 +164,14 @@ impl RegionProfit {
 // ---------------------------------------------------------------------------
 
 /// What the walker asks about a kernel beyond its IR. Every answer has a
-/// default that means "unknown here", which is what perf-lint gets.
+/// default that means "unknown here", which is what perf-lint gets. The
+/// answers must depend only on their arguments: the walker asks
+/// [`Self::pipelined`] once per loop statement and reuses loop costs
+/// across visits.
 pub trait CostSource {
     /// Pipelined `(ii, depth)` of the non-unrolled loop `loop_stmt` (whose
     /// body is `body`), or `None` when the loop runs sequentially.
-    fn pipelined(&mut self, k: &Kernel, loop_stmt: &Stmt, body: &[Stmt]) -> Option<(u64, u64)>;
+    fn pipelined(&self, k: &Kernel, loop_stmt: &Stmt, body: &[Stmt]) -> Option<(u64, u64)>;
 
     /// Restart-contention cycles of a pipelined loop entered once with
     /// `trip` iterations on `nt` threads, whose thread-independent streams
@@ -184,34 +202,25 @@ pub trait CostSource {
 
 /// The source for code that runs before any compile exists: pipelining
 /// is decided structurally ([`pipeline_eligible`]), II by the recurrence
-/// analysis and depth by the operator chain, memoised per loop statement
-/// (the exact walk visits one loop once per enclosing iteration).
+/// analysis and depth by the operator chain.
 struct Structural {
     load_latency: u64,
-    schedules: HashMap<usize, Option<(u64, u64)>>,
 }
 
 impl Structural {
     fn new(p: &PerfParams) -> Self {
         Structural {
             load_latency: p.assumed_load_latency,
-            schedules: HashMap::new(),
         }
     }
 }
 
 impl CostSource for Structural {
-    fn pipelined(&mut self, k: &Kernel, loop_stmt: &Stmt, body: &[Stmt]) -> Option<(u64, u64)> {
-        let load_latency = self.load_latency;
-        *self
-            .schedules
-            .entry(loop_stmt as *const Stmt as usize)
-            .or_insert_with(|| {
-                pipeline_eligible(body).then(|| {
-                    let depth = body_depth(k, body).max(load_latency);
-                    (deps::recurrence_ii(k, body), depth)
-                })
-            })
+    fn pipelined(&self, k: &Kernel, _loop_stmt: &Stmt, body: &[Stmt]) -> Option<(u64, u64)> {
+        pipeline_eligible(body).then(|| {
+            let depth = body_depth(k, body).max(self.load_latency);
+            (deps::recurrence_ii(k, body), depth)
+        })
     }
 }
 
@@ -255,12 +264,21 @@ impl Cost {
 /// Sequential loops at most this long are walked iteration by iteration
 /// (exact induction values, exact branch resolution) instead of priced as
 /// body-at-iteration-0 × trip. Keeps double buffering's parity/boundary
-/// guards honest while long loops stay O(1) in their trip count.
+/// guards honest while long loops stay O(1) in their trip count. Such
+/// walks nest (blocked GEMM's `jb` × `kb` around its copy and compute
+/// loops), so the walker prices each inner loop once per distinct context
+/// and reuses it on every later visit (see [`CostWalker::memoised`]); the
+/// exact walk then costs one visit per distinct binding, not one per
+/// iteration of the whole nest.
 const EXACT_SEQ_TRIP: u64 = 16;
 
 /// Ceiling on the image-driven exact walk (per thread): keeps the model
 /// O(rows) on irregular kernels while refusing pathological trip counts.
 const MAX_EXACT_WALK: u64 = 1 << 16;
+
+/// A loop's cost in one context, and the region profits recorded under
+/// it at unit scale (empty unless recording).
+type Memo = (Option<Cost>, Vec<(usize, RegionProfit)>);
 
 /// Walks one kernel's threads in turn, pricing each statement under the
 /// thread id and the enclosing loops' induction bindings.
@@ -281,6 +299,16 @@ struct CostWalker<'k, S> {
     /// Iteration multiplier of the enclosing extrapolated/unrolled loops:
     /// blocks walked once but executed `scale` times record scaled costs.
     scale: u64,
+    /// Per loop statement (by address): its [`LoopFacts`].
+    loops: HashMap<usize, Rc<LoopFacts>>,
+    /// Per straight-line statement (by address): its sequential cycles.
+    seq_cycles: HashMap<usize, u64>,
+    /// Loop costs by context; keys are built by [`CostWalker::memoised`].
+    memo: HashMap<Box<[i64]>, Memo>,
+    /// Scratch buffer for memo keys, so a hit allocates nothing.
+    key: Vec<i64>,
+    /// Set inside an image-driven exact walk, whose contexts never repeat.
+    no_memo: bool,
 }
 
 impl<'k, S: CostSource> CostWalker<'k, S> {
@@ -294,6 +322,11 @@ impl<'k, S: CostSource> CostWalker<'k, S> {
             approx: vec![false; k.vars.len()],
             recorded: None,
             scale: 1,
+            loops: HashMap::new(),
+            seq_cycles: HashMap::new(),
+            memo: HashMap::new(),
+            key: Vec::new(),
+            no_memo: false,
         }
     }
 
@@ -347,13 +380,14 @@ impl<'k, S: CostSource> CostWalker<'k, S> {
     /// Accumulate one region-forming statement's subtree cost (times the
     /// enclosing extrapolation multiplier) when recording is on.
     fn record(&mut self, s: &Stmt, c: Cost) {
-        let n = self.scale;
         if let Some(map) = self.recorded.as_mut() {
-            let e = map.entry(s as *const Stmt as usize).or_default();
-            e.cycles += c.cycles * n;
-            e.dram_bytes += c.dram_bytes * n;
-            e.critical_cycles += c.critical * n;
-            e.dma_cycles += c.dma_busy * n;
+            let profit = RegionProfit {
+                cycles: c.cycles,
+                dram_bytes: c.dram_bytes,
+                critical_cycles: c.critical,
+                dma_cycles: c.dma_busy,
+            };
+            credit(map, s as *const Stmt as usize, profit, self.scale);
         }
     }
 
@@ -438,36 +472,117 @@ impl<'k, S: CostSource> CostWalker<'k, S> {
                 }
                 Some(out)
             }
-            Stmt::For {
-                var,
-                start,
-                end,
-                step,
-                body,
-                unroll,
-            } => {
-                let (s0, st, trip) = self.trip(*start, *end, *step)?;
-                // Bind the induction variable to the first iteration's
-                // value so inner bounds/strides that depend on it resolve.
-                let slot = var.0 as usize;
-                let saved = self.bindings[slot];
-                let saved_approx = self.approx[slot];
-                self.bindings[slot] = Some(s0);
-                self.approx[slot] = true;
-                let out = if *unroll == Unroll::Full {
-                    // Inlined into the parent graph: no loop control.
-                    self.repeated(body, trip)
+            Stmt::For { .. } => {
+                let facts = self.loop_facts(s);
+                // An image-driven exact walk binds a new row on every
+                // iteration, so no context under it ever repeats: the memo
+                // would only store, never hit.
+                if self.no_memo || (facts.mem_dependent && self.src.has_image()) {
+                    let saved = std::mem::replace(&mut self.no_memo, true);
+                    let out = self.for_cost(s, &facts);
+                    self.no_memo = saved;
+                    out
                 } else {
-                    self.loop_cost(s, trip, (s0, st))
-                };
-                self.bindings[slot] = saved;
-                self.approx[slot] = saved_approx;
-                let mut out = out?;
-                out.cycles += self.bound_load_cycles(s);
-                self.record(s, out);
-                Some(out)
+                    self.memoised(s, &facts)
+                }
             }
         }
+    }
+
+    /// The [`LoopFacts`] of loop `s`, derived on its first visit.
+    fn loop_facts(&mut self, s: &Stmt) -> Rc<LoopFacts> {
+        let addr = s as *const Stmt as usize;
+        if let Some(f) = self.loops.get(&addr) {
+            return Rc::clone(f);
+        }
+        let f = Rc::new(LoopFacts::new(self.k, self.p, &self.src, s));
+        self.loops.insert(addr, Rc::clone(&f));
+        f
+    }
+
+    /// [`Self::for_cost`] once per distinct context. A loop's cost (and
+    /// the profits recorded under it) depends only on the thread id, when
+    /// the subtree reads it, and on the binding and `approx` flag of each
+    /// of its free variables: everything else the walk reads is fixed for
+    /// the kernel, the parameters and the source. So the first visit in a
+    /// context walks the subtree at unit scale and stores the result; a
+    /// later visit in the same context adds the stored profits back times
+    /// the current `scale`, which is what walking it again would record.
+    fn memoised(&mut self, s: &Stmt, facts: &LoopFacts) -> Option<Cost> {
+        let mut key = std::mem::take(&mut self.key);
+        key.clear();
+        key.push(s as *const Stmt as usize as i64);
+        key.push(if facts.reads_tid { self.tid } else { -1 });
+        for v in &facts.free_vars {
+            let slot = v.0 as usize;
+            key.extend(match self.bindings[slot] {
+                Some(x) => [1 + self.approx[slot] as i64, x],
+                None => [0, 0],
+            });
+        }
+        if let Some((cost, profits)) = self.memo.get(key.as_slice()) {
+            if let Some(map) = self.recorded.as_mut() {
+                for &(addr, p) in profits {
+                    credit(map, addr, p, self.scale);
+                }
+            }
+            let out = *cost;
+            self.key = key;
+            return out;
+        }
+        let owned: Box<[i64]> = key.as_slice().into();
+        self.key = key;
+        let scale = std::mem::replace(&mut self.scale, 1);
+        let outer = self.recorded.as_mut().map(std::mem::take);
+        let out = self.for_cost(s, facts);
+        self.scale = scale;
+        let profits = match (self.recorded.take(), outer) {
+            (Some(unit), Some(mut outer)) => {
+                for (&addr, &p) in &unit {
+                    credit(&mut outer, addr, p, scale);
+                }
+                self.recorded = Some(outer);
+                unit.into_iter().collect()
+            }
+            _ => Vec::new(),
+        };
+        self.memo.insert(owned, (out, profits));
+        out
+    }
+
+    /// Cost of the loop statement `s` under the current context.
+    fn for_cost(&mut self, s: &Stmt, facts: &LoopFacts) -> Option<Cost> {
+        let Stmt::For {
+            var,
+            start,
+            end,
+            step,
+            body,
+            unroll,
+        } = s
+        else {
+            unreachable!("for_cost on non-For")
+        };
+        let (s0, st, trip) = self.trip(*start, *end, *step)?;
+        // Bind the induction variable to the first iteration's
+        // value so inner bounds/strides that depend on it resolve.
+        let slot = var.0 as usize;
+        let saved = self.bindings[slot];
+        let saved_approx = self.approx[slot];
+        self.bindings[slot] = Some(s0);
+        self.approx[slot] = true;
+        let out = if *unroll == Unroll::Full {
+            // Inlined into the parent graph: no loop control.
+            self.repeated(body, trip)
+        } else {
+            self.loop_cost(s, facts, trip, (s0, st))
+        };
+        self.bindings[slot] = saved;
+        self.approx[slot] = saved_approx;
+        let mut out = out?;
+        out.cycles += facts.bound_load;
+        self.record(s, out);
+        Some(out)
     }
 
     /// `body` walked once and priced as run `n` times; regions inside it
@@ -482,7 +597,13 @@ impl<'k, S: CostSource> CostWalker<'k, S> {
 
     /// Cost of the non-unrolled loop `stmt`, run `trip` times from `s0` by
     /// `st`, with its induction variable bound to `s0`.
-    fn loop_cost(&mut self, stmt: &Stmt, trip: u64, (s0, st): (i64, i64)) -> Option<Cost> {
+    fn loop_cost(
+        &mut self,
+        stmt: &Stmt,
+        facts: &LoopFacts,
+        trip: u64,
+        (s0, st): (i64, i64),
+    ) -> Option<Cost> {
         let Stmt::For {
             var, start, body, ..
         } = stmt
@@ -492,8 +613,8 @@ impl<'k, S: CostSource> CostWalker<'k, S> {
         if trip == 0 {
             return Some(Cost::default());
         }
-        if let Some((ii, depth)) = self.src.pipelined(self.k, stmt, body) {
-            let tr = self.iter_traffic(*var, *start, (s0, st), body);
+        if let Some((ii, depth)) = facts.schedule {
+            let tr = self.iter_traffic(*var, *start, (s0, st), &facts.accesses);
             // Effective II: a thread cannot issue iterations faster than
             // its share of the channel sustains its line traffic.
             let nt = self.k.num_threads as u64;
@@ -511,9 +632,7 @@ impl<'k, S: CostSource> CostWalker<'k, S> {
         // Memory-dependent inner bounds (CSR row lengths) vary per
         // iteration, so walk those exactly whenever the image resolves them.
         let exact = trip <= EXACT_SEQ_TRIP
-            || (self.src.has_image()
-                && trip <= MAX_EXACT_WALK
-                && has_mem_dependent_loop(self.k, body));
+            || (self.src.has_image() && trip <= MAX_EXACT_WALK && facts.mem_dependent);
         if exact {
             let slot = var.0 as usize;
             let saved_approx = self.approx[slot];
@@ -548,7 +667,7 @@ impl<'k, S: CostSource> CostWalker<'k, S> {
         var: VarId,
         start: ExprId,
         first: (i64, i64),
-        body: &[Stmt],
+        accesses: &[(ExtAccess, bool)],
     ) -> IterTraffic {
         let line = self.p.dram_line_bytes;
         let bw = self.p.dram_bytes_per_cycle.max(1);
@@ -557,15 +676,12 @@ impl<'k, S: CostSource> CostWalker<'k, S> {
         let miss_stall =
             (line.div_ceil(bw) + self.p.dram_latency).saturating_sub(self.p.assumed_load_latency);
         let mut out = IterTraffic::default();
-        let mut accesses = Vec::new();
-        collect_ext_accesses(self.k, body, &mut accesses);
         let mut shared_miss_streams = 0u64;
-        for a in accesses {
+        for &(a, gather) in accesses {
             let (i0, i1) = self.first_two(var, first, a.index);
             // A data-dependent index (gather through a loaded value) is
             // priced line-per-access even when the image could evaluate
             // it: the first two iterations' difference is not a stride.
-            let gather = expr_has_load(self.k, a.index);
             let stride_bytes = match (i0, i1) {
                 (Some(x), Some(y)) if !gather => (y - x).unsigned_abs() * a.bytes as u64,
                 _ => line,
@@ -659,47 +775,13 @@ impl<'k, S: CostSource> CostWalker<'k, S> {
         (i0, i1)
     }
 
-    /// One DRAM round trip: line transfer plus access latency.
-    fn miss_cycles(&self) -> u64 {
-        self.p
-            .dram_line_bytes
-            .div_ceil(self.p.dram_bytes_per_cycle.max(1))
-            + self.p.dram_latency
-    }
-
-    /// Sequential-region cycles of one statement (the executor's
-    /// `StepEvent::Ops` pricing: base cost + work / issue width). External
-    /// loads in sequential code are assumed to miss, which holds for the
-    /// dominant pattern (read-modify-write in critical sections
-    /// invalidates the port line buffer).
-    fn seq_stmt_cycles(&self, s: &Stmt) -> u64 {
-        let work = stmt_op_count(self.k, s);
-        let loads = stmt_ext_loads(self.k, s);
-        self.p.stmt_base_cost
-            + work.div_ceil(self.p.seq_issue_width.max(1))
-            + loads * self.miss_cycles()
-    }
-
-    /// Cycles to evaluate a loop's bound expressions when they load from
-    /// external memory (the CSR `row_ptr[r]..row_ptr[r+1]` pattern). Zero
-    /// for affine bounds. With line buffers on, adjacent pointers into the
-    /// same buffer share a fetched line, so each distinct buffer pays one
-    /// round trip per evaluation; without them every load pays its own.
-    fn bound_load_cycles(&self, s: &Stmt) -> u64 {
-        let loads = stmt_ext_loads(self.k, s);
-        if loads == 0 {
-            return 0;
-        }
-        if !self.p.line_buffers {
-            return loads * self.miss_cycles();
-        }
-        let mut bufs = Vec::new();
-        for e in stmt_exprs(s) {
-            expr_loads(self.k, e, &mut bufs);
-        }
-        bufs.sort_by_key(|a| a.buf.0);
-        bufs.dedup_by_key(|a| a.buf.0);
-        bufs.len() as u64 * self.miss_cycles()
+    /// [`seq_cycles`] of a straight-line statement, derived once.
+    fn seq_stmt_cycles(&mut self, s: &Stmt) -> u64 {
+        let (k, p) = (self.k, self.p);
+        *self
+            .seq_cycles
+            .entry(s as *const Stmt as usize)
+            .or_insert_with(|| seq_cycles(k, p, s))
     }
 
     /// Does the expression reference a loop induction variable whose
@@ -708,7 +790,7 @@ impl<'k, S: CostSource> CostWalker<'k, S> {
     fn uses_bound_var(&self, id: ExprId) -> bool {
         match self.k.expr(id) {
             Expr::Var(v) => self.bindings[v.0 as usize].is_some() && self.approx[v.0 as usize],
-            e => e.children().into_iter().any(|c| self.uses_bound_var(c)),
+            e => e.children().any(|c| self.uses_bound_var(c)),
         }
     }
 
@@ -773,6 +855,176 @@ struct IterTraffic {
     indep_miss_freq: f64,
 }
 
+/// Add `n` times the unit-scale profit `p` to region `addr`.
+fn credit(map: &mut HashMap<usize, RegionProfit>, addr: usize, p: RegionProfit, n: u64) {
+    let e = map.entry(addr).or_default();
+    e.cycles += p.cycles * n;
+    e.dram_bytes += p.dram_bytes * n;
+    e.critical_cycles += p.critical_cycles * n;
+    e.dma_cycles += p.dma_cycles * n;
+}
+
+/// What the walker needs of one loop statement beyond the context it is
+/// visited in, derived on the first visit.
+struct LoopFacts {
+    /// The memo key's variables: those the subtree's evaluated expressions
+    /// read outside the scope of any loop in the subtree that binds them
+    /// (see [`Reads`]).
+    free_vars: Vec<VarId>,
+    /// Whether an evaluated expression of the subtree reads `ThreadId`.
+    reads_tid: bool,
+    /// Whether a loop inside draws its bounds from memory
+    /// ([`has_mem_dependent_loop`]): with an image, such a loop is walked
+    /// iteration by iteration.
+    mem_dependent: bool,
+    /// Cycles to evaluate the loop's own bounds ([`bound_load_cycles`]).
+    bound_load: u64,
+    /// The source's pipelined `(ii, depth)`; `None` when the loop runs
+    /// sequentially or is unrolled.
+    schedule: Option<(u64, u64)>,
+    /// A pipelined body's external accesses, each with whether it is a
+    /// gather (its index reads memory).
+    accesses: Vec<(ExtAccess, bool)>,
+}
+
+impl LoopFacts {
+    fn new<S: CostSource>(k: &Kernel, p: &PerfParams, src: &S, s: &Stmt) -> Self {
+        let Stmt::For { body, unroll, .. } = s else {
+            unreachable!("loop facts of a non-For")
+        };
+        let mut reads = Reads::default();
+        reads.block(k, std::slice::from_ref(s), &mut Vec::new());
+        let schedule = if *unroll == Unroll::Full {
+            None
+        } else {
+            src.pipelined(k, s, body)
+        };
+        let mut accesses = Vec::new();
+        if schedule.is_some() {
+            collect_ext_accesses(k, body, &mut accesses);
+        }
+        LoopFacts {
+            free_vars: reads.vars,
+            reads_tid: reads.tid,
+            mem_dependent: has_mem_dependent_loop(k, body),
+            bound_load: bound_load_cycles(k, p, s),
+            schedule,
+            accesses: accesses
+                .into_iter()
+                .map(|a| (a, expr_has_load(k, a.index)))
+                .collect(),
+        }
+    }
+}
+
+/// The context a subtree's pricing reads: `ThreadId`, and the variables
+/// read outside the scope of the loops that bind them. The evaluated
+/// expressions are the ones the walker resolves to values: loop bounds,
+/// `If` conditions, burst lengths and the external-access indices of a
+/// loop body (probed for strides with only that loop's variable rebound).
+#[derive(Default)]
+struct Reads {
+    vars: Vec<VarId>,
+    tid: bool,
+}
+
+impl Reads {
+    fn expr(&mut self, k: &Kernel, id: ExprId, bound: &[VarId]) {
+        match k.expr(id) {
+            Expr::ThreadId => self.tid = true,
+            Expr::Var(v) => {
+                if !bound.contains(v) && !self.vars.contains(v) {
+                    self.vars.push(*v);
+                }
+            }
+            e => {
+                for c in e.children() {
+                    self.expr(k, c, bound);
+                }
+            }
+        }
+    }
+
+    fn block(&mut self, k: &Kernel, block: &[Stmt], bound: &mut Vec<VarId>) {
+        for s in block {
+            match s {
+                Stmt::For {
+                    var,
+                    start,
+                    end,
+                    step,
+                    body,
+                    ..
+                } => {
+                    for e in [*start, *end, *step] {
+                        self.expr(k, e, bound);
+                    }
+                    bound.push(*var);
+                    let mut accesses = Vec::new();
+                    collect_ext_accesses(k, body, &mut accesses);
+                    for a in accesses {
+                        self.expr(k, a.index, bound);
+                    }
+                    self.block(k, body, bound);
+                    bound.pop();
+                }
+                Stmt::If {
+                    cond,
+                    then_b,
+                    else_b,
+                } => {
+                    self.expr(k, *cond, bound);
+                    self.block(k, then_b, bound);
+                    self.block(k, else_b, bound);
+                }
+                Stmt::Critical { body } => self.block(k, body, bound),
+                Stmt::Preload { len, .. } | Stmt::WriteBack { len, .. } => {
+                    self.expr(k, *len, bound)
+                }
+                _ => {}
+            }
+        }
+    }
+}
+
+/// One DRAM round trip: line transfer plus access latency.
+fn miss_cycles(p: &PerfParams) -> u64 {
+    p.dram_line_bytes.div_ceil(p.dram_bytes_per_cycle.max(1)) + p.dram_latency
+}
+
+/// Sequential-region cycles of one statement (the executor's
+/// `StepEvent::Ops` pricing: base cost + work / issue width). External
+/// loads in sequential code are assumed to miss, which holds for the
+/// dominant pattern (read-modify-write in critical sections invalidates
+/// the port line buffer).
+fn seq_cycles(k: &Kernel, p: &PerfParams, s: &Stmt) -> u64 {
+    let work = stmt_op_count(k, s);
+    let loads = stmt_ext_loads(k, s);
+    p.stmt_base_cost + work.div_ceil(p.seq_issue_width.max(1)) + loads * miss_cycles(p)
+}
+
+/// Cycles to evaluate a loop's bound expressions when they load from
+/// external memory (the CSR `row_ptr[r]..row_ptr[r+1]` pattern). Zero for
+/// affine bounds. With line buffers on, adjacent pointers into the same
+/// buffer share a fetched line, so each distinct buffer pays one round
+/// trip per evaluation; without them every load pays its own.
+fn bound_load_cycles(k: &Kernel, p: &PerfParams, s: &Stmt) -> u64 {
+    let loads = stmt_ext_loads(k, s);
+    if loads == 0 {
+        return 0;
+    }
+    if !p.line_buffers {
+        return loads * miss_cycles(p);
+    }
+    let mut bufs = Vec::new();
+    for e in stmt_exprs(s) {
+        expr_loads(k, e, &mut bufs);
+    }
+    bufs.sort_by_key(|a| a.buf.0);
+    bufs.dedup_by_key(|a| a.buf.0);
+    bufs.len() as u64 * miss_cycles(p)
+}
+
 /// Can the loop body be pipelined? Structural form of the scheduler's
 /// decision: any nested sequential region (inner non-unrolled loop,
 /// critical section, barrier, DMA burst) forces sequential execution.
@@ -817,7 +1069,7 @@ fn body_depth(k: &Kernel, body: &[Stmt]) -> u64 {
 /// result carries no structure.
 fn expr_has_load(k: &Kernel, id: ExprId) -> bool {
     let e = k.expr(id);
-    matches!(e, Expr::LoadExt { .. }) || e.children().into_iter().any(|c| expr_has_load(k, c))
+    matches!(e, Expr::LoadExt { .. }) || e.children().any(|c| expr_has_load(k, c))
 }
 
 /// Does any loop (at any nesting depth) in `block` draw its bounds from
@@ -915,11 +1167,7 @@ fn stmt_exprs(s: &Stmt) -> impl Iterator<Item = ExprId> {
 fn stmt_expr_sum(k: &Kernel, s: &Stmt, count: fn(&Expr) -> u64) -> u64 {
     fn expr_sum(k: &Kernel, id: ExprId, count: fn(&Expr) -> u64) -> u64 {
         let e = k.expr(id);
-        count(e)
-            + e.children()
-                .into_iter()
-                .map(|c| expr_sum(k, c, count))
-                .sum::<u64>()
+        count(e) + e.children().map(|c| expr_sum(k, c, count)).sum::<u64>()
     }
     stmt_exprs(s).map(|e| expr_sum(k, e, count)).sum()
 }
@@ -1491,6 +1739,125 @@ mod tests {
             pc.critical_cycles >= 100 * per_entry,
             "expected ≥ trip × per-entry serialization, got {pc:?}"
         );
+    }
+
+    /// `critical { x = x + 1 }`: 12 (acquire) + 2 (one op: 1 + ⌈1/4⌉) +
+    /// 4 (release) = 18 cycles, all of them serialized.
+    fn bump_in_critical(kb: &mut KernelBuilder, x: VarId) {
+        kb.critical(|kb| {
+            let cur = kb.get(x);
+            let one = kb.c_i32(1);
+            let s = kb.add(cur, one);
+            kb.set(x, s);
+        });
+    }
+
+    /// `start + per_thread · tid`, as an i64 loop bound.
+    fn tid_bound(kb: &mut KernelBuilder, start: i64, per_thread: i64) -> ExprId {
+        let tid = kb.thread_id();
+        let t = kb.cast(ScalarType::I64, tid);
+        let c = kb.c_i64(per_thread);
+        let m = kb.mul(t, c);
+        let s = kb.c_i64(start);
+        kb.add(s, m)
+    }
+
+    #[test]
+    fn memo_keys_on_the_thread_id_when_a_trip_reads_it() {
+        // for i in 0..4 { for j in 0..tid+1 { critical { x += 1 } } }: the
+        // inner loop is the same statement with the same bindings on both
+        // threads, so only the thread id tells its two trips apart.
+        let mut kb = KernelBuilder::new("tid_trip", 2);
+        let x = kb.var("x", Type::I32);
+        let four = kb.c_i64(4);
+        kb.for_range("i", four, |kb, _| {
+            let end = tid_bound(kb, 1, 1);
+            kb.for_range("j", end, |kb, _| bump_in_critical(kb, x));
+        });
+        let k = kb.finish();
+        let m = model(&k, &PerfParams::default()).expect("resolvable");
+        // Inner, walked exactly: (tid+1)·(18 + 1 handshake) + 1 exit.
+        // Outer: 4·(inner + 1) + 1 → 4·21 + 1 and 4·40 + 1.
+        assert_eq!(m.per_thread, vec![85, 161]);
+        assert_eq!(m.critical_cycles, 18 * 4 + 18 * 8);
+    }
+
+    #[test]
+    fn memo_keys_on_whether_a_binding_is_exact() {
+        // for k in 0..2+18·tid { for r in 0..1 { if k >= 1 { critical } } }.
+        // Thread 0 walks k exactly (trip 2): at k = 0 the guard is false.
+        // Thread 1 extrapolates (trip 20 > EXACT_SEQ_TRIP) from k = 0, a
+        // first-iteration binding, so the guard is unresolved and the
+        // dearer branch is priced — double buffering's `kb < nblocks`
+        // guard. The inner loop sees k = 0 both times; only the binding's
+        // exactness differs.
+        let mut kb = KernelBuilder::new("parity", 2);
+        let x = kb.var("x", Type::I32);
+        let end = tid_bound(&mut kb, 2, 18);
+        let zero = kb.c_i64(0);
+        let step = kb.c_i64(1);
+        kb.for_each("k", zero, end, step, |kb, k| {
+            let once = kb.c_i64(1);
+            kb.for_range("r", once, |kb, _| {
+                let one = kb.c_i64(1);
+                let cond = kb.bin(nymble_ir::BinOp::Ge, k, one);
+                kb.if_then(cond, |kb| bump_in_critical(kb, x));
+            });
+        });
+        let k = kb.finish();
+        let m = model(&k, &PerfParams::default()).expect("resolvable");
+        // If: 2 cycles for the guard, plus 18 when the critical is priced.
+        // r (one exact iteration): If + 1 handshake + 1 exit → 4 or 22.
+        // Thread 0: (4 + 1) + (22 + 1) + 1 = 29.
+        // Thread 1: 20·22 + 20 handshakes + 1 exit = 461.
+        assert_eq!(m.per_thread, vec![29, 461]);
+    }
+
+    #[test]
+    fn memo_hit_under_an_extrapolated_loop_scales_its_profits() {
+        // for i in 0..20+tid { for j in 0..2 { critical { x += 1 } } }: i
+        // is extrapolated (trip > EXACT_SEQ_TRIP) and differs per thread,
+        // so thread 1 walks it afresh; j reads neither, so thread 1 reuses
+        // thread 0's price for it at scale 21 instead of 20.
+        let mut kb = KernelBuilder::new("scaled_hit", 2);
+        let x = kb.var("x", Type::I32);
+        let end = tid_bound(&mut kb, 20, 1);
+        let zero = kb.c_i64(0);
+        let step = kb.c_i64(1);
+        kb.for_each("i", zero, end, step, |kb, _| {
+            let two = kb.c_i64(2);
+            kb.for_range("j", two, |kb, _| bump_in_critical(kb, x));
+        });
+        let k = kb.finish();
+        let (m, profits) = model_with_profits(&k, &PerfParams::default()).expect("resolvable");
+        // j: 2·(18 + 1) + 1 = 39. i: 39·trip + trip + 1.
+        assert_eq!(m.per_thread, vec![39 * 20 + 21, 39 * 21 + 22]);
+        let Stmt::For { body, .. } = &k.body[0] else {
+            panic!("outer loop expected");
+        };
+        let Stmt::For { body: inner, .. } = &body[0] else {
+            panic!("inner loop expected");
+        };
+        let profit = |s: &Stmt| profits[&(s as *const Stmt as usize)];
+        let entries = 2 * (20 + 21);
+        let serial = 18 * entries;
+        assert_eq!(
+            profit(&inner[0]),
+            RegionProfit {
+                cycles: serial,
+                critical_cycles: serial,
+                ..Default::default()
+            }
+        );
+        assert_eq!(
+            profit(&body[0]),
+            RegionProfit {
+                cycles: 39 * (20 + 21),
+                critical_cycles: serial,
+                ..Default::default()
+            }
+        );
+        assert_eq!(profit(&k.body[0]).cycles, 801 + 841);
     }
 
     #[test]
