@@ -8,15 +8,19 @@
 //! estimate (GEMM, π, SpMV with its memory image), the structural model
 //! perf-lint prices against (every lint fixture plus the extra kernels:
 //! `If` guards, thread-dependent bounds, critical sections, bursts) and
-//! the region-tree profits of the two blocked GEMMs.
+//! the region-tree profits of the two blocked GEMMs. Two image-driven row
+//! walks beyond the seeded SpMV are pinned as well: a skewed CSR (empty,
+//! short and very long rows) and a row walk whose inner stream's stride
+//! depends on the row, so rows of equal length price differently.
 
 use bench::{analytic_report, gemm_launch, gemm_sim_config, pi_launch, pi_sim_config};
 use bench::{spmv_launch, spmv_sim_config};
+use fpga_sim::memimg::LaunchArg;
 use kernels::gemm::{self, GemmParams, GemmVersion};
 use kernels::pi::{self, PiParams};
 use kernels::spmv::{self, Csr};
 use nymble_hls::{AccelCache, RegionTree};
-use nymble_ir::Kernel;
+use nymble_ir::{Kernel, KernelBuilder, MapDir, ScalarType, Type, Value};
 use nymble_lint::{perf, PerfParams};
 
 /// `(label, [total_cycles, dram_bytes, critical_cycles])`.
@@ -38,6 +42,17 @@ const ESTIMATES: &[(&str, [u64; 3])] = &[
     ("spmv/t2", [13729433, 41941292, 0]),
     ("spmv/t8", [6750209, 41941292, 0]),
     ("spmv/t64", [6443009, 41941292, 0]),
+];
+
+/// `(label, [total_cycles, dram_bytes, critical_cycles])` of the
+/// image-driven row walks: [`skewed_csr`] and [`row_strided`].
+#[rustfmt::skip]
+const ROW_WALKS: &[(&str, [u64; 3])] = &[
+    ("skewed/t2", [1965979, 4907444, 0]),
+    ("skewed/t8", [1296755, 4907444, 0]),
+    ("skewed/t64", [3226753, 4907444, 0]),
+    ("row_strided/t1", [64562, 80480, 0]),
+    ("row_strided/t4", [18322, 80480, 0]),
 ];
 
 /// `(label, [cycles, dram_bytes, critical_cycles, dma_cycles, score])`.
@@ -199,6 +214,107 @@ fn actual_estimates() -> Vec<(String, [u64; 3])> {
     out
 }
 
+/// A 4,096-row CSR with many distinct row lengths: every 64th row is
+/// empty, the row after it holds 300 non-zeros, and the rest cycle
+/// through 0–22 non-zeros.
+fn skewed_csr() -> Csr {
+    let (rows, cols) = (4096usize, 4096usize);
+    let mut row_ptr = vec![0i64];
+    let mut col_idx = Vec::new();
+    for r in 0..rows {
+        let len = match r % 64 {
+            0 => 0,
+            1 => 300,
+            _ => (r * r + 3 * r) % 23,
+        };
+        col_idx.extend((0..len).map(|j| ((r * 131 + j * 977) % cols) as i64));
+        row_ptr.push(col_idx.len() as i64);
+    }
+    let values = (0..col_idx.len()).map(|i| (i % 7) as f32 - 3.0).collect();
+    Csr {
+        rows,
+        cols,
+        row_ptr,
+        col_idx,
+        values,
+    }
+}
+
+/// Rows of 0–12 elements bounded by `ROW_PTR` (256 rows, striped over
+/// `threads`), whose inner pipelined loop reads `A[(r % 32)·k]`: the
+/// stream's stride is `r % 32` elements, so it stays in a line on some
+/// rows and fetches a line per access on others.
+fn row_strided(threads: u32) -> (Kernel, Vec<LaunchArg>) {
+    const ROWS: i64 = 256;
+    let mut kb = KernelBuilder::new("row_strided", threads);
+    let row_ptr = kb.buffer("ROW_PTR", ScalarType::I64, MapDir::To);
+    let a = kb.buffer("A", ScalarType::F32, MapDir::To);
+    let y = kb.buffer("Y", ScalarType::F32, MapDir::From);
+    let acc = kb.var("acc", Type::F32);
+    let tid = kb.thread_id();
+    let my = kb.cast(ScalarType::I64, tid);
+    let nt = kb.num_threads_expr();
+    let nt64 = kb.cast(ScalarType::I64, nt);
+    let end = kb.c_i64(ROWS);
+    kb.for_each("r", my, end, nt64, |kb, r| {
+        let z = kb.c_f32(0.0);
+        kb.set(acc, z);
+        let lo = kb.load(row_ptr, r, Type::I64);
+        let one = kb.c_i64(1);
+        let r1 = kb.add(r, one);
+        let hi = kb.load(row_ptr, r1, Type::I64);
+        let step = kb.c_i64(1);
+        kb.for_each("k", lo, hi, step, |kb, k| {
+            let w = kb.c_i64(32);
+            let pitch = kb.bin(nymble_ir::BinOp::Rem, r, w);
+            let i = kb.mul(pitch, k);
+            let v = kb.load(a, i, Type::F32);
+            let cur = kb.get(acc);
+            let s = kb.add(cur, v);
+            kb.set(acc, s);
+        });
+        let s = kb.get(acc);
+        kb.store(y, r, s);
+    });
+    let mut row_ptr = vec![0i64];
+    for r in 0..ROWS {
+        row_ptr.push(row_ptr[r as usize] + (r * 5) % 13);
+    }
+    let nnz = *row_ptr.last().unwrap();
+    let launch = vec![
+        LaunchArg::Buffer(row_ptr.into_iter().map(Value::I64).collect()),
+        LaunchArg::Buffer(vec![Value::F32(1.0); (31 * nnz + 1) as usize]),
+        LaunchArg::Buffer(vec![Value::F32(0.0); ROWS as usize]),
+    ];
+    (kb.finish(), launch)
+}
+
+fn actual_row_walks() -> Vec<(String, [u64; 3])> {
+    let cache = AccelCache::new();
+    let mut out = Vec::new();
+    let m = skewed_csr();
+    let launch = spmv_launch(&m);
+    for t in [2, 8, 64] {
+        let k = spmv::build(m.rows as i64, t);
+        let r = analytic_report(&cache, &k, &spmv_sim_config(), &launch)
+            .expect("skewed CSR bounds resolve against the memory image");
+        out.push((
+            format!("skewed/t{t}"),
+            [r.total_cycles, r.dram_bytes, r.critical_cycles],
+        ));
+    }
+    for t in [1, 4] {
+        let (k, launch) = row_strided(t);
+        let r = analytic_report(&cache, &k, &spmv_sim_config(), &launch)
+            .expect("row bounds resolve against the memory image");
+        out.push((
+            format!("row_strided/t{t}"),
+            [r.total_cycles, r.dram_bytes, r.critical_cycles],
+        ));
+    }
+    out
+}
+
 type ModelRow = (String, Option<([u64; 3], Vec<u64>)>);
 
 fn actual_models() -> Vec<ModelRow> {
@@ -296,6 +412,11 @@ fn structural_models_are_pinned() {
 #[test]
 fn analytic_estimates_are_pinned() {
     assert_pinned("estimate_with_image", &actual_estimates(), ESTIMATES);
+}
+
+#[test]
+fn image_row_walks_are_pinned() {
+    assert_pinned("image row walks", &actual_row_walks(), ROW_WALKS);
 }
 
 #[test]
