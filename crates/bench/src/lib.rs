@@ -477,17 +477,19 @@ pub fn gemm_sim_config() -> SimConfig {
 /// Run the analytical fast mode (`fpga_sim::analytic`) for one kernel:
 /// compile (through the shared cache), derive the launch scalars and memory
 /// image the same way the simulator does, and evaluate the roofline model.
-/// The image lets memory-dependent loop bounds (CSR SpMV row pointers)
-/// resolve; `None` when the kernel's bounds are still not statically
-/// resolvable.
+/// The image borrows the launch's buffers (nothing is copied) and lets
+/// memory-dependent loop bounds (CSR SpMV row pointers) resolve. `None`
+/// when the kernel's bounds are still not statically resolvable, or when
+/// `launch` does not fit the kernel's signature (the shape check the
+/// simulator reports as [`fpga_sim::SimError::Launch`]).
 pub fn analytic_report(
     cache: &AccelCache,
     kernel: &Kernel,
     sim: &SimConfig,
     launch: &[LaunchArg],
 ) -> Option<fpga_sim::AnalyticReport> {
+    let (mem, scalars) = fpga_sim::memimg::MemImage::try_new(kernel, launch).ok()?;
     let accel = cache.get_or_compile(kernel, &HlsConfig::default());
-    let (mem, scalars) = fpga_sim::memimg::MemImage::new(kernel, launch);
     fpga_sim::analytic::estimate_with_image(kernel, &accel, sim, &scalars, &mem)
 }
 
@@ -561,6 +563,19 @@ mod tests {
         for (g, e) in got.iter().zip(&gold) {
             assert!((g - e).abs() < 1e-3 * e.abs().max(1.0));
         }
+    }
+
+    #[test]
+    fn analytic_report_refuses_a_launch_that_does_not_fit() {
+        let m = Csr::random(64, 64, 4, 1);
+        let k = spmv::build(m.rows as i64, 2);
+        let cache = AccelCache::new();
+        let sim = spmv_sim_config();
+        let mut launch = spmv_launch(&m);
+        assert!(analytic_report(&cache, &k, &sim, &launch).is_some());
+        assert!(analytic_report(&cache, &k, &sim, &launch[..4]).is_none());
+        launch[0] = LaunchArg::Scalar(Value::I64(0));
+        assert!(analytic_report(&cache, &k, &sim, &launch).is_none());
     }
 
     #[test]

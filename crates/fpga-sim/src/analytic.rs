@@ -84,13 +84,16 @@ pub fn estimate(
 /// loop bounds come from memory — CSR SpMV's `row_ptr[r]..row_ptr[r+1]`
 /// inner loop — price statically too. Loops with memory-dependent inner
 /// bounds are walked iteration by iteration (each row priced with its true
-/// non-zero count) instead of body-at-iteration-0 × trip.
+/// non-zero count) instead of body-at-iteration-0 × trip; rows whose inner
+/// loop evaluates to the same context (for CSR, the same length) share one
+/// price. The estimate only reads `mem`, so an image that borrows the
+/// launch ([`MemImage::new`]) costs no copy.
 pub fn estimate_with_image(
     kernel: &Kernel,
     accel: &Accelerator,
     cfg: &SimConfig,
     scalars: &ScalarArgs,
-    mem: &MemImage,
+    mem: &MemImage<'_>,
 ) -> Option<AnalyticReport> {
     estimate_impl(kernel, accel, cfg, scalars, Some(mem))
 }
@@ -100,7 +103,7 @@ fn estimate_impl(
     accel: &Accelerator,
     cfg: &SimConfig,
     scalars: &ScalarArgs,
-    mem: Option<&MemImage>,
+    mem: Option<&MemImage<'_>>,
 ) -> Option<AnalyticReport> {
     let src = Compiled {
         accel,
@@ -144,7 +147,7 @@ struct Compiled<'a> {
     scalars: &'a ScalarArgs,
     /// Pristine launch-time memory image for resolving loads from
     /// device-read-only (`map(to)`) buffers. `None` = loads are opaque.
-    mem: Option<&'a MemImage>,
+    mem: Option<&'a MemImage<'a>>,
 }
 
 impl CostSource for Compiled<'_> {

@@ -10,6 +10,7 @@
 //! on (who holds the semaphore and how many waiters are ahead, or how many
 //! threads the barrier has collected out of the live set).
 
+use crate::memimg::LaunchError;
 use std::fmt;
 
 /// Why a blocked thread cannot make progress.
@@ -88,6 +89,14 @@ pub enum SimError {
     },
     /// The [`crate::SimConfig`] failed [`crate::SimConfig::validate`].
     InvalidConfig(String),
+    /// The launch arguments do not fit the kernel's signature.
+    Launch(LaunchError),
+}
+
+impl From<LaunchError> for SimError {
+    fn from(e: LaunchError) -> Self {
+        SimError::Launch(e)
+    }
 }
 
 impl fmt::Display for SimError {
@@ -104,6 +113,7 @@ impl fmt::Display for SimError {
                 write!(f, ")")
             }
             SimError::InvalidConfig(msg) => write!(f, "invalid simulator configuration: {msg}"),
+            SimError::Launch(e) => write!(f, "launch does not fit the kernel: {e}"),
         }
     }
 }

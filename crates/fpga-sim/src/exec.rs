@@ -143,7 +143,7 @@ pub enum StepStatus {
 pub struct SimRun<'k, Q: DispatchQueue = WheelQueue> {
     cfg: SimConfig,
     modes: Vec<LoopMode>,
-    mem: MemImage,
+    mem: MemImage<'static>,
     dram: Dram,
     sem: Semaphore,
     devices: DeviceQueue,
@@ -171,7 +171,7 @@ const _: fn() = || {
 impl<'k> SimRun<'k> {
     /// Set up a run of `kernel` (compiled as `accel`) with `launch`
     /// arguments under `cfg` on the default wheel-queue core. Validates the
-    /// configuration up front.
+    /// configuration and the launch's shape up front.
     pub fn new(
         kernel: &'k Kernel,
         accel: &Accelerator,
@@ -197,7 +197,8 @@ impl<'k, Q: DispatchQueue> SimRun<'k, Q> {
             .map(|i| loop_mode(accel, LoopId(i as u32)))
             .collect();
 
-        let (mem, scalars) = MemImage::new(kernel, launch);
+        let (mem, scalars) = MemImage::try_new(kernel, launch)?;
+        let mem = mem.into_owned();
         let dram = Dram::new(cfg);
         let n = kernel.num_threads as usize;
         let n_bufs = kernel.args.len();
@@ -708,9 +709,10 @@ impl Executor {
     /// `cfg`, reporting pipeline activity to `snoop`, on the default
     /// wheel-queue core with run-ahead dispatch.
     ///
-    /// Returns [`SimError::InvalidConfig`] if `cfg` fails validation and
-    /// [`SimError::Deadlock`] if every live thread blocks on the semaphore
-    /// or barrier.
+    /// Returns [`SimError::InvalidConfig`] if `cfg` fails validation,
+    /// [`SimError::Launch`] if `launch` does not fit the kernel's
+    /// signature, and [`SimError::Deadlock`] if every live thread blocks
+    /// on the semaphore or barrier.
     pub fn run(
         kernel: &Kernel,
         accel: &Accelerator,

@@ -3,6 +3,8 @@
 
 use nymble_ir::walker::DataMemory;
 use nymble_ir::{ArgId, ArgKind, Kernel, Type, Value};
+use std::borrow::Cow;
+use std::fmt;
 
 /// Launch value for one kernel argument (same shape as the gold
 /// interpreter's, re-declared here to keep crate dependencies one-way).
@@ -12,57 +14,135 @@ pub enum LaunchArg {
     Buffer(Vec<Value>),
 }
 
+/// Why a launch does not fit a kernel's signature.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum LaunchError {
+    /// The launch has `got` arguments; the kernel takes `expected`.
+    Arity { expected: usize, got: usize },
+    /// Argument `index` (`name`) is a buffer given a scalar, or a scalar
+    /// given a buffer.
+    Kind {
+        index: usize,
+        name: String,
+        buffer_expected: bool,
+    },
+}
+
+impl fmt::Display for LaunchError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LaunchError::Arity { expected, got } => write!(
+                f,
+                "the launch has {got} argument(s), the kernel takes {expected}"
+            ),
+            LaunchError::Kind {
+                index,
+                name,
+                buffer_expected,
+            } => {
+                let (want, got) = if *buffer_expected {
+                    ("a buffer", "a scalar")
+                } else {
+                    ("a scalar", "a buffer")
+                };
+                write!(f, "argument {index} (`{name}`) takes {want}, got {got}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for LaunchError {}
+
 /// Functional memory image with a flat address layout: buffers are placed
 /// back to back, each aligned to 4 KiB (how the OpenMP runtime's device
 /// allocator would place them in the FPGA board DRAM).
-pub struct MemImage {
-    bufs: Vec<Vec<Value>>,
+///
+/// The image borrows the launch's buffers and copies one only when it is
+/// first written ([`DataMemory::store_ext`]), so a reader of the pristine
+/// image (the analytic model) copies nothing. The simulator, which writes,
+/// holds an owned image ([`MemImage::into_owned`]).
+pub struct MemImage<'a> {
+    bufs: Vec<Cow<'a, [Value]>>,
     base: Vec<u64>,
     elem_size: Vec<u32>,
 }
 
-impl MemImage {
+impl<'a> MemImage<'a> {
     /// Lay out the buffers of `launch` according to `kernel`'s signature and
     /// return the image plus the scalar-argument vector for walkers.
-    pub fn new(kernel: &Kernel, launch: &[LaunchArg]) -> (Self, Vec<Value>) {
-        assert_eq!(
-            launch.len(),
-            kernel.args.len(),
-            "one launch argument per kernel argument"
-        );
+    ///
+    /// # Panics
+    ///
+    /// When the launch does not fit the signature; [`Self::try_new`]
+    /// returns that as an error instead.
+    pub fn new(kernel: &Kernel, launch: &'a [LaunchArg]) -> (Self, Vec<Value>) {
+        Self::try_new(kernel, launch).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::new`], or why `launch` does not fit `kernel`'s signature:
+    /// one argument per kernel argument, a scalar for each scalar and a
+    /// buffer for each buffer.
+    pub fn try_new(
+        kernel: &Kernel,
+        launch: &'a [LaunchArg],
+    ) -> Result<(Self, Vec<Value>), LaunchError> {
+        if launch.len() != kernel.args.len() {
+            return Err(LaunchError::Arity {
+                expected: kernel.args.len(),
+                got: launch.len(),
+            });
+        }
         let mut bufs = Vec::with_capacity(launch.len());
         let mut base = Vec::with_capacity(launch.len());
         let mut elem_size = Vec::with_capacity(launch.len());
         let mut scalars = Vec::with_capacity(launch.len());
         let mut cursor = 0u64;
         const ALIGN: u64 = 4096;
-        for (arg, la) in kernel.args.iter().zip(launch) {
+        for (index, (arg, la)) in kernel.args.iter().zip(launch).enumerate() {
+            base.push(cursor);
             match (&arg.kind, la) {
                 (ArgKind::Scalar(_), LaunchArg::Scalar(v)) => {
                     scalars.push(v.clone());
-                    bufs.push(Vec::new());
-                    base.push(cursor);
+                    bufs.push(Cow::Borrowed(&[][..]));
                     elem_size.push(0);
                 }
                 (ArgKind::Buffer { elem, .. }, LaunchArg::Buffer(b)) => {
                     scalars.push(Value::I32(0));
-                    base.push(cursor);
                     elem_size.push(elem.size_bytes());
                     cursor +=
                         (b.len() as u64 * elem.size_bytes() as u64).div_ceil(ALIGN) * ALIGN + ALIGN;
-                    bufs.push(b.clone());
+                    bufs.push(Cow::Borrowed(b.as_slice()));
                 }
-                _ => panic!("launch argument kind mismatch for `{}`", arg.name),
+                (kind, _) => {
+                    return Err(LaunchError::Kind {
+                        index,
+                        name: arg.name.clone(),
+                        buffer_expected: matches!(kind, ArgKind::Buffer { .. }),
+                    })
+                }
             }
         }
-        (
+        Ok((
             MemImage {
                 bufs,
                 base,
                 elem_size,
             },
             scalars,
-        )
+        ))
+    }
+
+    /// The image with every buffer copied out of the launch.
+    pub fn into_owned(self) -> MemImage<'static> {
+        MemImage {
+            bufs: self
+                .bufs
+                .into_iter()
+                .map(|b| Cow::Owned(b.into_owned()))
+                .collect(),
+            base: self.base,
+            elem_size: self.elem_size,
+        }
     }
 
     /// Absolute DRAM byte address of `buf`'s byte offset.
@@ -72,7 +152,7 @@ impl MemImage {
 
     /// Final buffer contents (for result read-back).
     pub fn into_buffers(self) -> Vec<Vec<Value>> {
-        self.bufs
+        self.bufs.into_iter().map(Cow::into_owned).collect()
     }
 
     /// Borrow a buffer's contents.
@@ -86,7 +166,7 @@ impl MemImage {
     }
 }
 
-impl DataMemory for MemImage {
+impl DataMemory for MemImage<'_> {
     fn load_ext(&mut self, buf: ArgId, elem_idx: u64, ty: Type) -> Value {
         let b = &self.bufs[buf.0 as usize];
         let i = elem_idx as usize;
@@ -107,7 +187,7 @@ impl DataMemory for MemImage {
     }
 
     fn store_ext(&mut self, buf: ArgId, elem_idx: u64, v: Value) {
-        let b = &mut self.bufs[buf.0 as usize];
+        let b = self.bufs[buf.0 as usize].to_mut();
         let i = elem_idx as usize;
         match v {
             Value::Vec(lanes) => {
@@ -140,14 +220,12 @@ mod tests {
         let n = kb.scalar_arg("N", ScalarType::I64);
         let _ = n;
         let k = kb.finish();
-        let (img, scalars) = MemImage::new(
-            &k,
-            &[
-                LaunchArg::Buffer(vec![Value::F32(0.0); 100]),
-                LaunchArg::Buffer(vec![Value::F32(0.0); 100]),
-                LaunchArg::Scalar(Value::I64(100)),
-            ],
-        );
+        let launch = [
+            LaunchArg::Buffer(vec![Value::F32(0.0); 100]),
+            LaunchArg::Buffer(vec![Value::F32(0.0); 100]),
+            LaunchArg::Scalar(Value::I64(100)),
+        ];
+        let (img, scalars) = MemImage::new(&k, &launch);
         assert_eq!(scalars[2], Value::I64(100));
         let a0 = img.abs_addr(a, 0);
         let b0 = img.abs_addr(b, 0);
@@ -162,10 +240,84 @@ mod tests {
         let mut kb = KernelBuilder::new("t", 1);
         let a = kb.buffer("A", ScalarType::F32, MapDir::ToFrom);
         let k = kb.finish();
-        let (mut img, _) = MemImage::new(&k, &[LaunchArg::Buffer(vec![Value::F32(0.0); 8])]);
+        let launch = [LaunchArg::Buffer(vec![Value::F32(0.0); 8])];
+        let (mut img, _) = MemImage::new(&k, &launch);
         img.store_ext(a, 3, Value::F32(7.5));
         assert_eq!(img.load_ext(a, 3, Type::F32), Value::F32(7.5));
         let v = img.load_ext(a, 2, Type::vector(ScalarType::F32, 2));
         assert_eq!(v.lane(1), &Value::F32(7.5));
+    }
+
+    fn two_buffers() -> (Kernel, ArgId, ArgId, Vec<LaunchArg>) {
+        let mut kb = KernelBuilder::new("t", 1);
+        let a = kb.buffer("A", ScalarType::F32, MapDir::To);
+        let b = kb.buffer("B", ScalarType::F32, MapDir::ToFrom);
+        let launch = vec![
+            LaunchArg::Buffer(vec![Value::F32(1.0); 8]),
+            LaunchArg::Buffer(vec![Value::F32(2.0); 8]),
+        ];
+        (kb.finish(), a, b, launch)
+    }
+
+    fn launch_ptr(la: &LaunchArg) -> *const Value {
+        match la {
+            LaunchArg::Buffer(v) => v.as_ptr(),
+            LaunchArg::Scalar(_) => panic!("buffer expected"),
+        }
+    }
+
+    #[test]
+    fn unwritten_buffers_alias_the_launch() {
+        let (k, a, b, launch) = two_buffers();
+        let (mut img, _) = MemImage::new(&k, &launch);
+        assert_eq!(img.load_ext(b, 1, Type::F32), Value::F32(2.0));
+        assert_eq!(img.buffer(a).as_ptr(), launch_ptr(&launch[0]));
+        assert_eq!(img.buffer(b).as_ptr(), launch_ptr(&launch[1]));
+    }
+
+    #[test]
+    fn a_store_copies_only_the_written_buffer() {
+        let (k, a, b, launch) = two_buffers();
+        let (mut img, _) = MemImage::new(&k, &launch);
+        img.store_ext(b, 3, Value::F32(9.0));
+        assert_eq!(img.buffer(a).as_ptr(), launch_ptr(&launch[0]));
+        assert_ne!(img.buffer(b).as_ptr(), launch_ptr(&launch[1]));
+        assert_eq!(img.load_ext(b, 3, Type::F32), Value::F32(9.0));
+        let LaunchArg::Buffer(untouched) = &launch[1] else {
+            unreachable!()
+        };
+        assert_eq!(untouched, &vec![Value::F32(2.0); 8]);
+        let out = img.into_buffers();
+        assert_eq!(out[0], vec![Value::F32(1.0); 8]);
+        let mut want = vec![Value::F32(2.0); 8];
+        want[3] = Value::F32(9.0);
+        assert_eq!(out[1], want);
+    }
+
+    #[test]
+    fn a_launch_that_does_not_fit_is_an_error() {
+        let (k, _, _, mut launch) = two_buffers();
+        let short = &launch[..1];
+        assert_eq!(
+            MemImage::try_new(&k, short).err(),
+            Some(LaunchError::Arity {
+                expected: 2,
+                got: 1
+            })
+        );
+        launch[1] = LaunchArg::Scalar(Value::I64(4));
+        let err = MemImage::try_new(&k, &launch).err();
+        assert_eq!(
+            err,
+            Some(LaunchError::Kind {
+                index: 1,
+                name: "B".into(),
+                buffer_expected: true
+            })
+        );
+        assert_eq!(
+            err.unwrap().to_string(),
+            "argument 1 (`B`) takes a buffer, got a scalar"
+        );
     }
 }

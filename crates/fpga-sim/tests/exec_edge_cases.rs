@@ -197,6 +197,43 @@ fn invalid_config_is_reported_not_panicked() {
 }
 
 #[test]
+fn a_launch_that_does_not_fit_is_reported_not_panicked() {
+    use fpga_sim::memimg::LaunchError;
+    let mut kb = KernelBuilder::new("launch_check", 1);
+    let _a = kb.buffer("A", ScalarType::F32, MapDir::To);
+    let _n = kb.scalar_arg("N", ScalarType::I64);
+    let k = kb.finish();
+    let acc = compile(&k, &HlsConfig::default());
+    let cfg = SimConfig::default();
+    let buf = || LaunchArg::Buffer(vec![Value::F32(0.0); 4]);
+    let scalar = || LaunchArg::Scalar(Value::I64(4));
+    let arity = SimRun::new(&k, &acc, &cfg, &[buf()]).err();
+    assert_eq!(
+        arity,
+        Some(SimError::Launch(LaunchError::Arity {
+            expected: 2,
+            got: 1
+        }))
+    );
+    let kind = SimRun::new(&k, &acc, &cfg, &[scalar(), scalar()]).err();
+    assert_eq!(
+        kind,
+        Some(SimError::Launch(LaunchError::Kind {
+            index: 0,
+            name: "A".into(),
+            buffer_expected: true
+        }))
+    );
+    let msg = Executor::run(&k, &acc, &cfg, &[buf(), buf()], &mut NullSnoop)
+        .err()
+        .map(|e| e.to_string());
+    assert_eq!(
+        msg.as_deref(),
+        Some("launch does not fit the kernel: argument 1 (`N`) takes a scalar, got a buffer")
+    );
+}
+
+#[test]
 fn sim_run_can_be_stepped_and_moved_across_threads() {
     // The re-entrant core is Send: build it here, drive it to completion on
     // another thread, and read the result back.

@@ -30,18 +30,27 @@
 //! context is the loop statement, the thread id when the subtree reads it,
 //! and the binding and exactness of each variable the subtree's evaluated
 //! expressions read from outside it. Nothing else the walk reads varies,
-//! so a reused price is the price a fresh walk would give. The one
-//! exception to reuse is the image-driven walk over rows whose inner
-//! bounds come from memory: every row is a new context there, so it
-//! bypasses the memo. Facts that depend only on a statement (sequential
-//! cycles, bound-load cycles, a pipelined body's accesses, the source's
-//! schedule) are derived once per statement.
+//! so a reused price is the price a fresh walk would give.
+//!
+//! With a memory image, rows whose inner bounds come from memory are
+//! walked one by one, and every row binds a new value, so binding keys
+//! never repeat there. Under that walk a loop whose free variables are
+//! read only by its own bounds (CSR's `row_ptr[r]..row_ptr[r+1]`) is
+//! keyed by value instead: the trip and step its bounds evaluate to, plus
+//! the first value of its variable or the outcome of its stride and
+//! sharing probes where the loop's facts cannot prove them the same on
+//! every row (`ValueKey`). Rows of equal length then share one price.
+//! Any other loop there is walked afresh. Facts that depend only on a
+//! statement (sequential cycles, bound-load cycles, a pipelined body's
+//! accesses, the source's schedule, how the loop is keyed) are derived
+//! once per statement.
 
 use crate::deps;
 use crate::diag::{Code, Diagnostic, PredMetric};
 use nymble_ir::stmt::Unroll;
 use nymble_ir::{ArgId, ArgKind, Expr, ExprId, Kernel, MapDir, Stmt, Value, VarId};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 /// The latency/bandwidth parameters the model prices against. These
@@ -280,6 +289,47 @@ const MAX_EXACT_WALK: u64 = 1 << 16;
 /// it at unit scale (empty unless recording).
 type Memo = (Option<Cost>, Vec<(usize, RegionProfit)>);
 
+/// The walker's per-statement and per-context maps. Their keys are
+/// statement addresses and short `i64` slices the walker builds itself,
+/// so a multiplicative hash serves them; SipHash's resistance to chosen
+/// keys is not needed, and it is most of the cost of a memo hit.
+type WalkMap<K, V> = HashMap<K, V, BuildHasherDefault<WalkHasher>>;
+
+/// Word-at-a-time multiplicative hash (the rustc `FxHasher` scheme).
+#[derive(Default)]
+struct WalkHasher(u64);
+
+impl WalkHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for WalkHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.add(x);
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.add(x as u64);
+    }
+
+    /// The product's low bits carry the least of the key (statement
+    /// addresses are aligned), and the table picks buckets by the low
+    /// bits, so the high bits are rotated down.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
 /// Walks one kernel's threads in turn, pricing each statement under the
 /// thread id and the enclosing loops' induction bindings.
 struct CostWalker<'k, S> {
@@ -300,14 +350,17 @@ struct CostWalker<'k, S> {
     /// blocks walked once but executed `scale` times record scaled costs.
     scale: u64,
     /// Per loop statement (by address): its [`LoopFacts`].
-    loops: HashMap<usize, Rc<LoopFacts>>,
+    loops: WalkMap<usize, Rc<LoopFacts>>,
     /// Per straight-line statement (by address): its sequential cycles.
-    seq_cycles: HashMap<usize, u64>,
+    seq_cycles: WalkMap<usize, u64>,
     /// Loop costs by context; keys are built by [`CostWalker::memoised`].
-    memo: HashMap<Box<[i64]>, Memo>,
+    memo: WalkMap<Box<[i64]>, Memo>,
     /// Scratch buffer for memo keys, so a hit allocates nothing.
     key: Vec<i64>,
-    /// Set inside an image-driven exact walk, whose contexts never repeat.
+    /// Set inside an image-driven exact walk. Its rows bind new values,
+    /// so binding keys never repeat there: a loop under it is keyed by
+    /// value ([`Self::value_memoised`]) when its facts allow it, and
+    /// walked afresh otherwise.
     no_memo: bool,
 }
 
@@ -322,9 +375,9 @@ impl<'k, S: CostSource> CostWalker<'k, S> {
             approx: vec![false; k.vars.len()],
             recorded: None,
             scale: 1,
-            loops: HashMap::new(),
-            seq_cycles: HashMap::new(),
-            memo: HashMap::new(),
+            loops: WalkMap::default(),
+            seq_cycles: WalkMap::default(),
+            memo: WalkMap::default(),
             key: Vec::new(),
             no_memo: false,
         }
@@ -474,13 +527,18 @@ impl<'k, S: CostSource> CostWalker<'k, S> {
             }
             Stmt::For { .. } => {
                 let facts = self.loop_facts(s);
-                // An image-driven exact walk binds a new row on every
-                // iteration, so no context under it ever repeats: the memo
-                // would only store, never hit.
-                if self.no_memo || (facts.mem_dependent && self.src.has_image()) {
-                    let saved = std::mem::replace(&mut self.no_memo, true);
+                if self.no_memo {
+                    // Under an image-driven walk every row is a new binding,
+                    // so only a loop whose price the row reaches through
+                    // its own bounds alone is worth keeping, by value.
+                    match facts.by_value {
+                        Some(by) => self.value_memoised(s, &facts, by),
+                        None => self.for_cost(s, &facts),
+                    }
+                } else if facts.mem_dependent && self.src.has_image() {
+                    self.no_memo = true;
                     let out = self.for_cost(s, &facts);
-                    self.no_memo = saved;
+                    self.no_memo = false;
                     out
                 } else {
                     self.memoised(s, &facts)
@@ -520,6 +578,54 @@ impl<'k, S: CostSource> CostWalker<'k, S> {
                 None => [0, 0],
             });
         }
+        self.cached(s, facts, key)
+    }
+
+    /// [`Self::memoised`] under an image-driven walk, for a loop whose
+    /// free variables are read only by its own bounds ([`ValueKey`]).
+    /// Such a loop's price depends on the enclosing rows only through
+    /// what those bounds evaluate to, so it is keyed by that instead of
+    /// by the bindings: the statement, the thread id when the subtree
+    /// reads it, the trip and step, and — where [`LoopFacts`] cannot rule
+    /// them out — the first value of the loop's variable and the outcome
+    /// of the pipelined body's stride and sharing probes. CSR rows of
+    /// equal length then share one price.
+    fn value_memoised(&mut self, s: &Stmt, facts: &LoopFacts, by: ValueKey) -> Option<Cost> {
+        let Stmt::For {
+            var,
+            start,
+            end,
+            step,
+            ..
+        } = s
+        else {
+            unreachable!("value_memoised on non-For")
+        };
+        let (s0, st, trip) = self.trip(*start, *end, *step)?;
+        let mut key = std::mem::take(&mut self.key);
+        key.clear();
+        key.push(s as *const Stmt as usize as i64);
+        key.push(if facts.reads_tid { self.tid } else { -1 });
+        // Tells these keys from binding keys, which never hold `i64::MIN`.
+        key.extend([i64::MIN, trip as i64, st]);
+        if by.start {
+            key.push(s0);
+        }
+        if by.probes {
+            let tr = self.iter_traffic(*var, *start, (s0, st), &facts.accesses);
+            key.extend([
+                tr.line_bytes as i64,
+                tr.lat_iter as i64,
+                tr.indep_miss_freq.to_bits() as i64,
+            ]);
+        }
+        self.cached(s, facts, key)
+    }
+
+    /// The memo entry under `key` for loop `s`, walked and stored on a
+    /// miss. `key` comes back into `self.key` either way, so a hit
+    /// allocates nothing.
+    fn cached(&mut self, s: &Stmt, facts: &LoopFacts, key: Vec<i64>) -> Option<Cost> {
         if let Some((cost, profits)) = self.memo.get(key.as_slice()) {
             if let Some(map) = self.recorded.as_mut() {
                 for &(addr, p) in profits {
@@ -877,6 +983,9 @@ struct LoopFacts {
     /// ([`has_mem_dependent_loop`]): with an image, such a loop is walked
     /// iteration by iteration.
     mem_dependent: bool,
+    /// How the loop is keyed under an image-driven walk; `None` when a
+    /// free variable is read beyond the loop's own bounds.
+    by_value: Option<ValueKey>,
     /// Cycles to evaluate the loop's own bounds ([`bound_load_cycles`]).
     bound_load: u64,
     /// The source's pipelined `(ii, depth)`; `None` when the loop runs
@@ -889,7 +998,14 @@ struct LoopFacts {
 
 impl LoopFacts {
     fn new<S: CostSource>(k: &Kernel, p: &PerfParams, src: &S, s: &Stmt) -> Self {
-        let Stmt::For { body, unroll, .. } = s else {
+        let Stmt::For {
+            var,
+            start,
+            body,
+            unroll,
+            ..
+        } = s
+        else {
             unreachable!("loop facts of a non-For")
         };
         let mut reads = Reads::default();
@@ -903,17 +1019,88 @@ impl LoopFacts {
         if schedule.is_some() {
             collect_ext_accesses(k, body, &mut accesses);
         }
+        let accesses: Vec<(ExtAccess, bool)> = accesses
+            .into_iter()
+            .map(|a| (a, expr_has_load(k, a.index)))
+            .collect();
+        let mut inside = Reads::default();
+        inside.loop_inside(k, *var, body, &mut Vec::new());
+        let by_value = inside.vars.is_empty().then(|| {
+            if schedule.is_some() {
+                // Only the probes read the variable of a pipelined loop.
+                // A stride probe of an index affine in it alone sees `st`
+                // only, and the sharing probe re-evaluates such an index
+                // at the same start unless the start reads the thread id.
+                let mut start_reads = Reads::default();
+                start_reads.expr(k, *start, &[]);
+                let probes = start_reads.tid
+                    || accesses
+                        .iter()
+                        .any(|&(a, gather)| !gather && !affine_in(k, a.index, *var));
+                ValueKey {
+                    start: false,
+                    probes,
+                }
+            } else {
+                let mut walked = Reads::default();
+                walked.block(k, body, &mut Vec::new());
+                ValueKey {
+                    start: walked.vars.contains(var),
+                    probes: false,
+                }
+            }
+        });
         LoopFacts {
             free_vars: reads.vars,
             reads_tid: reads.tid,
             mem_dependent: has_mem_dependent_loop(k, body),
+            by_value,
             bound_load: bound_load_cycles(k, p, s),
             schedule,
-            accesses: accesses
-                .into_iter()
-                .map(|a| (a, expr_has_load(k, a.index)))
-                .collect(),
+            accesses,
         }
+    }
+}
+
+/// What a value key must hold beyond the statement, the thread id (when
+/// read), the trip and the step, for a loop whose free variables are read
+/// only by its own bounds.
+#[derive(Clone, Copy, Debug)]
+struct ValueKey {
+    /// The walked body reads the loop's own variable: its first value.
+    start: bool,
+    /// The pipelined body's stride or sharing probe is not proven the
+    /// same for every start: the probes' outcome ([`IterTraffic`]).
+    probes: bool,
+}
+
+/// Is `id` affine in `var` with coefficients fixed for the whole walk
+/// (constants, `NumThreads`, scalar arguments)? The walker's arithmetic
+/// wraps, so such an index moves by the same amount for a given step
+/// whatever value `var` starts from.
+fn affine_in(k: &Kernel, id: ExprId, var: VarId) -> bool {
+    match k.expr(id) {
+        Expr::Var(v) => *v == var,
+        Expr::Cast(_, a) | Expr::Unary(nymble_ir::UnOp::Neg, a) => affine_in(k, *a, var),
+        Expr::Binary(nymble_ir::BinOp::Add | nymble_ir::BinOp::Sub, a, b) => {
+            affine_in(k, *a, var) && affine_in(k, *b, var)
+        }
+        Expr::Binary(nymble_ir::BinOp::Mul, a, b) => {
+            (walk_constant(k, *a) && affine_in(k, *b, var))
+                || (affine_in(k, *a, var) && walk_constant(k, *b))
+        }
+        _ => walk_constant(k, id),
+    }
+}
+
+/// Does `id` evaluate to the same value everywhere in one walk?
+fn walk_constant(k: &Kernel, id: ExprId) -> bool {
+    match k.expr(id) {
+        Expr::Const(_) | Expr::NumThreads => true,
+        Expr::Arg(a) => matches!(k.arg(*a).kind, ArgKind::Scalar(_)),
+        Expr::Cast(_, a) | Expr::Unary(_, a) => walk_constant(k, *a),
+        Expr::Binary(_, a, b) => walk_constant(k, *a) && walk_constant(k, *b),
+        _ => false,
     }
 }
 
@@ -945,6 +1132,18 @@ impl Reads {
         }
     }
 
+    /// A loop's body accesses and body, with its variable `var` bound.
+    fn loop_inside(&mut self, k: &Kernel, var: VarId, body: &[Stmt], bound: &mut Vec<VarId>) {
+        bound.push(var);
+        let mut accesses = Vec::new();
+        collect_ext_accesses(k, body, &mut accesses);
+        for a in accesses {
+            self.expr(k, a.index, bound);
+        }
+        self.block(k, body, bound);
+        bound.pop();
+    }
+
     fn block(&mut self, k: &Kernel, block: &[Stmt], bound: &mut Vec<VarId>) {
         for s in block {
             match s {
@@ -959,14 +1158,7 @@ impl Reads {
                     for e in [*start, *end, *step] {
                         self.expr(k, e, bound);
                     }
-                    bound.push(*var);
-                    let mut accesses = Vec::new();
-                    collect_ext_accesses(k, body, &mut accesses);
-                    for a in accesses {
-                        self.expr(k, a.index, bound);
-                    }
-                    self.block(k, body, bound);
-                    bound.pop();
+                    self.loop_inside(k, *var, body, bound);
                 }
                 Stmt::If {
                     cond,
@@ -1858,6 +2050,193 @@ mod tests {
             }
         );
         assert_eq!(profit(&k.body[0]).cycles, 801 + 841);
+    }
+
+    /// A compiled design with a memory image, simplified: every loop that
+    /// can pipeline does so at II 1 and depth 4, without restart
+    /// contention, and `bufs[i]` is buffer argument `i` at launch.
+    struct Imaged(Vec<Vec<i64>>);
+
+    impl CostSource for Imaged {
+        fn pipelined(&self, _k: &Kernel, _s: &Stmt, body: &[Stmt]) -> Option<(u64, u64)> {
+            pipeline_eligible(body).then_some((1, 4))
+        }
+
+        fn load(&self, buf: ArgId, index: usize) -> Option<i64> {
+            self.0.get(buf.0 as usize)?.get(index).copied()
+        }
+
+        fn has_image(&self) -> bool {
+            true
+        }
+    }
+
+    /// Four rows striped over the threads, each an inner loop over
+    /// `bounds(ROW_PTR, r)` with body `body(A, r, k)`. `ROW_PTR` is
+    /// argument 0 and `A` argument 1.
+    fn row_walk(
+        threads: u32,
+        bounds: impl FnOnce(&mut KernelBuilder, ArgId, ExprId) -> (ExprId, ExprId),
+        body: impl FnOnce(&mut KernelBuilder, ArgId, ExprId, ExprId),
+    ) -> Kernel {
+        let mut kb = KernelBuilder::new("rows", threads);
+        let row_ptr = kb.buffer("ROW_PTR", ScalarType::I64, MapDir::To);
+        let a = kb.buffer("A", ScalarType::F32, MapDir::To);
+        let tid = kb.thread_id();
+        let my = kb.cast(ScalarType::I64, tid);
+        let nt = kb.num_threads_expr();
+        let nt64 = kb.cast(ScalarType::I64, nt);
+        let rows = kb.c_i64(4);
+        kb.for_each("r", my, rows, nt64, |kb, r| {
+            let (lo, hi) = bounds(kb, row_ptr, r);
+            let one = kb.c_i64(1);
+            kb.for_each("k", lo, hi, one, |kb, k| body(kb, a, r, k));
+        });
+        kb.finish()
+    }
+
+    /// `row_ptr[r]..row_ptr[r + 1]`.
+    fn csr_bounds(kb: &mut KernelBuilder, row_ptr: ArgId, r: ExprId) -> (ExprId, ExprId) {
+        let lo = kb.load(row_ptr, r, Type::I64);
+        let one = kb.c_i64(1);
+        let r1 = kb.add(r, one);
+        (lo, kb.load(row_ptr, r1, Type::I64))
+    }
+
+    /// `x += A[index]`, a pipelinable body.
+    fn accumulate(kb: &mut KernelBuilder, a: ArgId, index: ExprId) {
+        let x = kb.var("x", Type::F32);
+        let v = kb.load(a, index, Type::F32);
+        let cur = kb.get(x);
+        let s = kb.add(cur, v);
+        kb.set(x, s);
+    }
+
+    /// The model of `k` under [`Imaged`], and how many loop contexts the
+    /// walk priced.
+    fn imaged_model(k: &Kernel, row_ptr: &[i64]) -> (PerfModel, usize) {
+        let p = PerfParams::default();
+        let mut w = CostWalker::new(k, &p, Imaged(vec![row_ptr.to_vec()]));
+        let m = w.model().expect("bounds resolve against the image");
+        (m, w.memo.len())
+    }
+
+    // In the image tests below, a round trip is 1 + 48 = 49 cycles and a
+    // read miss stalls 49 − 8 = 41 beyond the scheduled load latency. The
+    // inner loop's bounds load one `ROW_PTR` line: 49 cycles per entry. A
+    // pipelined entry of trip n costs 4 + (n − 1)·eff_ii + 49, and each
+    // row adds 1 handshake, each row walk 1 exit.
+
+    #[test]
+    fn rows_of_equal_length_share_one_price() {
+        // A[k]: a 4-byte stride, 41·4/64 = 2 stall cycles per iteration,
+        // eff_ii 3. Trip 3: 4 + 2·3 + 49 = 59; trip 0: the bound loads.
+        let k = row_walk(1, csr_bounds, |kb, a, _, k| accumulate(kb, a, k));
+        let (m, contexts) = imaged_model(&k, &[0, 3, 6, 6, 9]);
+        assert_eq!(m.per_thread, vec![3 * (59 + 1) + (49 + 1) + 1]);
+        assert_eq!(m.dram_bytes, 3 * 3 * 4);
+        assert_eq!(contexts, 2, "one price per distinct trip");
+    }
+
+    #[test]
+    fn a_row_dependent_index_prices_rows_of_equal_length_apart() {
+        // Every row has 2 elements. A[r·k] reads the row itself: the
+        // stride is 4r bytes, 41·4r/64 = 0, 2, 5, 7 stall cycles.
+        let k = row_walk(1, csr_bounds, |kb, a, r, k| {
+            let i = kb.mul(r, k);
+            accumulate(kb, a, i)
+        });
+        let (m, _) = imaged_model(&k, &[0, 2, 4, 6, 8]);
+        let price = |stall: u64| 4 + (1 + stall) + 49 + 1;
+        assert_eq!(
+            m.per_thread,
+            vec![price(0) + price(2) + price(5) + price(7) + 1]
+        );
+        assert_eq!(m.dram_bytes, 2 * (4 + 4 + 8 + 12));
+        // A[k·k] reads only k, but not affinely: from k = 2j the stride is
+        // 4·(4j + 1) = 4, 20, 36, 52 bytes, 2, 12, 23, 33 stall cycles.
+        let k = row_walk(1, csr_bounds, |kb, a, _, k| {
+            let i = kb.mul(k, k);
+            accumulate(kb, a, i)
+        });
+        let (m, _) = imaged_model(&k, &[0, 2, 4, 6, 8]);
+        assert_eq!(
+            m.per_thread,
+            vec![price(2) + price(12) + price(23) + price(33) + 1]
+        );
+        assert_eq!(m.dram_bytes, 2 * (4 + 20 + 36 + 52));
+        // A sequential body `if r == 0 { critical { n += 1 } }`: per
+        // iteration 2 + 18 on row 0 and 2 elsewhere, plus 1 handshake,
+        // and 1 exit: 43 + 49 and 7 + 49.
+        let k = row_walk(1, csr_bounds, |kb, _, r, _| {
+            let n = kb.var("n", Type::I32);
+            let zero = kb.c_i64(0);
+            let first = kb.bin(nymble_ir::BinOp::Eq, r, zero);
+            kb.if_then(first, |kb| bump_in_critical(kb, n));
+        });
+        let (m, _) = imaged_model(&k, &[0, 2, 4, 6, 8]);
+        assert_eq!(m.per_thread, vec![(92 + 1) + 3 * (56 + 1) + 1]);
+        assert_eq!(m.critical_cycles, 2 * 18);
+        // `if k == 1 { .. }` reads only k, which is 1 on row 0 alone: 3 +
+        // 21 + 1 + 49 = 74 there.
+        let k = row_walk(1, csr_bounds, |kb, _, _, k| {
+            let n = kb.var("n", Type::I32);
+            let one = kb.c_i64(1);
+            let second = kb.bin(nymble_ir::BinOp::Eq, k, one);
+            kb.if_then(second, |kb| bump_in_critical(kb, n));
+        });
+        let (m, _) = imaged_model(&k, &[0, 2, 4, 6, 8]);
+        assert_eq!(m.per_thread, vec![(74 + 1) + 3 * (56 + 1) + 1]);
+        assert_eq!(m.critical_cycles, 18);
+    }
+
+    #[test]
+    fn a_start_that_reads_the_thread_id_keys_on_the_sharing_probe() {
+        // k in max(row_ptr[r], tid)..max(row_ptr[r], tid) + 2 over
+        // A[16·k]: a line per access (64 line bytes, 41 stall cycles,
+        // mem_ii 64·2/64 = 2). The stream is shared with the other thread
+        // when its start is the same there: not on row 0 (0 vs 1), but on
+        // rows 1–3, where a shared stream queues 1 more cycle behind the
+        // other thread. So thread 0's two rows of equal trip price apart.
+        let bounds = |kb: &mut KernelBuilder, row_ptr, r| {
+            let start = |kb: &mut KernelBuilder| {
+                let lo = kb.load(row_ptr, r, Type::I64);
+                let tid = kb.thread_id();
+                let t = kb.cast(ScalarType::I64, tid);
+                kb.bin(nymble_ir::BinOp::Max, lo, t)
+            };
+            let lo = start(kb);
+            let base = start(kb);
+            let two = kb.c_i64(2);
+            (lo, kb.add(base, two))
+        };
+        let k = row_walk(2, bounds, |kb, a, _, k| {
+            let sixteen = kb.c_i64(16);
+            let i = kb.mul(sixteen, k);
+            accumulate(kb, a, i)
+        });
+        let (m, _) = imaged_model(&k, &[0, 2, 4, 6, 8]);
+        let (apart, shared) = (4 + 42 + 49 + 1, 4 + 43 + 49 + 1);
+        assert_eq!(m.per_thread, vec![apart + shared + 1, 2 * shared + 1]);
+        assert_eq!(m.dram_bytes, 4 * 2 * 64);
+    }
+
+    #[test]
+    fn a_row_body_that_reads_the_thread_id_keys_on_it() {
+        // k (2 per row, sequential): `if tid == 0 { critical { x += 1 } }`
+        // costs 2 + 18 on thread 0 and 2 on thread 1, plus 1 handshake
+        // per iteration and 1 exit: 43 + 49 and 7 + 49. Equal trips, but
+        // the thread tells the prices apart.
+        let k = row_walk(2, csr_bounds, |kb, _, _, _| {
+            let x = kb.var("n", Type::I32);
+            let tid = kb.thread_id();
+            let zero = kb.c_i32(0);
+            let first = kb.bin(nymble_ir::BinOp::Eq, tid, zero);
+            kb.if_then(first, |kb| bump_in_critical(kb, x));
+        });
+        let (m, _) = imaged_model(&k, &[0, 2, 4, 6, 8]);
+        assert_eq!(m.per_thread, vec![2 * (92 + 1) + 1, 2 * (56 + 1) + 1]);
+        assert_eq!(m.critical_cycles, 4 * 18);
     }
 
     #[test]
