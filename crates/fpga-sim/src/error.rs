@@ -93,12 +93,6 @@ pub enum SimError {
     Launch(LaunchError),
 }
 
-impl From<LaunchError> for SimError {
-    fn from(e: LaunchError) -> Self {
-        SimError::Launch(e)
-    }
-}
-
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -197,7 +197,7 @@ impl<'k, Q: DispatchQueue> SimRun<'k, Q> {
             .map(|i| loop_mode(accel, LoopId(i as u32)))
             .collect();
 
-        let (mem, scalars) = MemImage::try_new(kernel, launch)?;
+        let (mem, scalars) = MemImage::try_new(kernel, launch).map_err(SimError::Launch)?;
         let mem = mem.into_owned();
         let dram = Dram::new(cfg);
         let n = kernel.num_threads as usize;
